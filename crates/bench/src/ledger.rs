@@ -191,42 +191,30 @@ impl Ledger {
         metrics: JobMetrics,
         profilers: &[ProfilerId],
     ) {
-        self.persist_completed(c, profilers);
-        self.settled_ok += 1;
-        self.rows.push(BenchRow {
-            name: c.run.bench.name.to_owned(),
-            ok: true,
-            attempts: c.attempts,
-            metrics,
-        });
-        self.record_journal(c.run.bench.name, true);
-        self.persist_failure_report();
+        let body = render_completed(c, profilers);
+        self.commit_remote(c.run.bench.name, true, c.attempts, &body, "", metrics);
     }
 
     /// Commits a failed benchmark: persists its result file, journals it
     /// `failed`, and rewrites the failure report with the new casualty.
     pub fn commit_failed(&mut self, f: &FailedBench, metrics: JobMetrics) {
-        self.persist_failed(f);
-        self.failures.push(FailureLine {
-            name: f.name.to_owned(),
-            attempts: f.attempts,
-            error: one_line(&f.error.to_string()),
-        });
-        self.rows.push(BenchRow {
-            name: f.name.to_owned(),
-            ok: false,
-            attempts: f.attempts,
+        let error_line = one_line(&f.error.to_string());
+        self.commit_remote(
+            f.name,
+            false,
+            f.attempts,
+            &render_failed(f),
+            &error_line,
             metrics,
-        });
-        self.record_journal(f.name, false);
-        self.persist_failure_report();
+        );
     }
 
-    /// Commits a benchmark settled on a *remote* daemon: the result-file
-    /// body arrives pre-rendered (by [`render_completed`] /
-    /// [`render_failed`] on the daemon), so this writes it verbatim and the
-    /// artifacts stay byte-identical to a local run. `error_line` is the
-    /// one-line failure message for `failures.txt` (empty when `ok`).
+    /// Commits a benchmark whose result-file body is already rendered (by
+    /// [`render_completed`] / [`render_failed`], next to the simulation —
+    /// on a fleet daemon or a serve worker): this writes it verbatim, so
+    /// the artifacts stay byte-identical to a local run. Every commit goes
+    /// through here. `error_line` is the one-line failure message for
+    /// `failures.txt` (empty when `ok`).
     pub fn commit_remote(
         &mut self,
         name: &str,
@@ -322,21 +310,6 @@ impl Ledger {
             );
         }
         report_io(atomic_write(&dir.join(METRICS_FILE), body.as_bytes()));
-    }
-
-    fn persist_completed(&self, c: &CompletedBench, profilers: &[ProfilerId]) {
-        let Some(dir) = &self.out_dir else { return };
-        let body = render_completed(c, profilers);
-        report_io(atomic_write(
-            &result_path(dir, c.run.bench.name),
-            body.as_bytes(),
-        ));
-    }
-
-    fn persist_failed(&self, f: &FailedBench) {
-        let Some(dir) = &self.out_dir else { return };
-        let body = render_failed(f);
-        report_io(atomic_write(&result_path(dir, f.name), body.as_bytes()));
     }
 
     fn record_journal(&mut self, name: &str, ok: bool) {

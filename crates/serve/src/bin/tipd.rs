@@ -32,7 +32,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tip_serve::server::{serve, Backend, ServerConfig};
+use tip_serve::server::{serve, ServerConfig};
 use tip_serve::{run_agent, AgentConfig, ClientError, DEFAULT_FLEET_LEASE};
 
 fn usage() -> String {
@@ -281,10 +281,7 @@ fn run_serve(config: &ServerConfig) -> Result<(), DaemonError> {
         config.out_dir.display()
     );
     // Keep a stats source that survives `join` consuming the handle.
-    let stats_source = match handle.backend() {
-        Backend::Local(e) => Backend::Local(e.clone()),
-        Backend::Fleet(c) => Backend::Fleet(c.clone()),
-    };
+    let stats_source = handle.engine().clone();
     handle.join();
     let stats = stats_source.stats();
     eprintln!(

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, SystemTime};
 
-use crate::fleet::PollReply;
+use crate::engine::PollReply;
 use crate::proto::{
     read_response, write_request, DeltaFrame, ErrorCode, JobSpec, JobState, QueryKind, QueryRow,
     RemoteOutcome, Request, Response, ServerStats,

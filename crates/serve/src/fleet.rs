@@ -1,1061 +1,59 @@
-//! Fleet coordination: one coordinator shards a campaign across N
-//! registered daemons and merges their streamed results through a single
-//! in-order committer — the engine's determinism story, lifted one level.
+//! The agent half of the fleet: what `tipd --join` runs.
 //!
-//! # Shape
-//!
-//! The [`Coordinator`] is the fleet-scale analogue of
-//! [`crate::engine::Engine`]: it owns the job queue, the campaign
-//! [`Ledger`], the per-assignment leases, and the commit order. What it
-//! does *not* own is workers — daemons dial in over TIPW v3 frames
-//! ([`crate::proto::Request::Register`] /
-//! [`crate::proto::Request::PollJob`] / [`crate::proto::Request::PushResult`]),
-//! pull assignments, simulate locally, and push back **pre-rendered**
-//! result bodies ([`tip_bench::ledger::render_completed`] /
-//! [`tip_bench::ledger::render_failed`]). The coordinator's committer
-//! writes those bytes through the shared [`Ledger`] in submission order, so
-//! `journal.txt`, every `<bench>.result`, and `failures.txt` are
+//! A coordinator is an ordinary [`crate::engine::Engine`] started with
+//! zero local workers; fleet daemons are its remote holders. An agent
+//! registers, then its worker threads poll for assignments, run each one
+//! through `run_assignment` — the same function the engine's local
+//! workers run — and push the rendered outcome back under the
+//! assignment's epoch. The coordinator's committer writes those bytes
+//! through the shared [`tip_bench::ledger::Ledger`] in submission order,
+//! so `journal.txt`, every `<bench>.result` and `failures.txt` are
 //! byte-identical to a local [`tip_bench::campaign`] run at any
 //! (daemon × worker) fan-out.
 //!
 //! # Failure domains
 //!
-//! * **Daemon death / partition** — every assignment carries a lease; any
-//!   contact from the holding daemon (beacon, poll, push) extends all of
-//!   its leases. The reaper requeues assignments whose lease expired under
-//!   a bumped epoch; a resurrected daemon pushing a result under the old
-//!   epoch is refused (`accepted=false`) and counted in `stale`. Exactly
-//!   one assignment's result ever reaches the ledger.
-//! * **Coordinator death** — the ledger is crash-consistent (atomic
-//!   renames, journal rewritten per commit). A restarted coordinator with
-//!   `resume` skips the journalled prefix exactly like a local resumed
-//!   campaign; daemons holding pre-crash assignments get
-//!   [`crate::proto::ErrorCode::UnknownDaemon`] and re-register, and their
-//!   stale pushes are discarded.
-//! * **Overload** — the server layer sheds `Submit`s past the queue
-//!   watermark with a typed `Overloaded`, exactly as for a local engine
-//!   ([`Coordinator::queue_depth`] feeds the same check).
-//! * **Drain** — `PollJob` answers `NoWork{draining:true}` (agents exit),
-//!   in-flight pushes still commit, and the committer exits once nothing
-//!   assigned remains; the journal then covers a clean prefix for resume.
-//!
-//! The agent half ([`run_agent`]) is what `tipd --join` runs: worker
-//! threads polling/running/pushing plus one process-level beacon thread —
-//! daemon-granular liveness, since a dead process takes all its workers
-//! with it.
+//! * **Daemon death / partition** — every frame from a daemon ticks its
+//!   heartbeat, which all of its leases watch; one process-level beacon
+//!   thread keeps it ticking however long the simulations run. The
+//!   engine's reaper requeues a silent daemon's assignments under a bumped
+//!   epoch, and a resurrected daemon pushing under the old epoch is refused
+//!   (`accepted=false`) and counted in `stale`.
+//! * **Coordinator death** — the ledger is crash-consistent. A restarted
+//!   coordinator with `resume` skips the journalled prefix; daemons
+//!   holding pre-crash assignments get [`ErrorCode::UnknownDaemon`],
+//!   re-register, and drop their stale results.
+//! * **Drain** — `PollJob` answers `NoWork{draining:true}` and the agent
+//!   exits clean; in-flight pushes still commit.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::client::{Client, ClientError};
-use crate::engine::SubmitError;
-use crate::proto::{DeltaFrame, ErrorCode, JobSpec, JobState, RemoteOutcome, ServerStats};
+use crate::engine::{resolve_core, PollReply};
+use crate::proto::{DeltaFrame, ErrorCode, JobSpec, RemoteOutcome};
 use tip_bench::campaign::{CompletedBench, FailedBench};
-use tip_bench::executor::{run_job_streaming, Heartbeat, Job, JobMetrics, SpecRunner};
+use tip_bench::executor::{run_job_streaming, Heartbeat, Job, Runner, SpecRunner};
 use tip_bench::experiments::SuiteRun;
-use tip_bench::ledger::{one_line, render_completed, render_failed, result_path, Ledger};
-use tip_bench::live::{DeltaEvent, DeltaSink, LiveAggregate};
+use tip_bench::ledger::{one_line, render_completed, render_failed};
+use tip_bench::live::DeltaSink;
 use tip_bench::run::MAX_CYCLES;
-use tip_isa::{Granularity, SymbolId};
-use tip_ooo::CoreConfig;
-use tip_workloads::{benchmark, SuiteScale, BENCHMARK_NAMES};
+use tip_workloads::{benchmark, BENCHMARK_NAMES};
 
-/// Default assignment lease. Shorter than the engine's worker lease: a
-/// daemon beacons at `lease / 4` from a dedicated thread regardless of how
-/// long its simulations run, so the lease only has to outlive network
-/// jitter, not a benchmark attempt.
+/// Default assignment lease for a coordinator. Shorter than the engine's
+/// worker lease: a daemon beacons at `lease / 4` from a dedicated thread
+/// regardless of how long its simulations run, so the lease only has to
+/// outlive network jitter, not a benchmark attempt.
 pub const DEFAULT_FLEET_LEASE: Duration = Duration::from_secs(10);
-
-/// How many leases of total silence before a daemon's *registration* is
-/// dropped (its assignments were already requeued after one lease); a
-/// dropped daemon's next call gets `UnknownDaemon` and it re-registers.
-const DEREGISTER_LEASES: u32 = 4;
-
-/// How the coordinator runs.
-#[derive(Debug, Clone)]
-pub struct CoordinatorConfig {
-    /// Campaign directory: journal, result files, failure report, metrics.
-    pub out_dir: PathBuf,
-    /// Skip benchmarks the directory's journal already records as done.
-    pub resume: bool,
-    /// Assignment lease: a daemon silent longer than this has its
-    /// assignments requeued under a bumped epoch.
-    pub lease: Duration,
-    /// Live streaming aggregate daemon-pushed deltas are folded into;
-    /// `None` creates a private one.
-    pub live: Option<Arc<LiveAggregate>>,
-}
-
-impl CoordinatorConfig {
-    /// A config with production defaults: fresh (no resume),
-    /// [`DEFAULT_FLEET_LEASE`].
-    #[must_use]
-    pub fn new(out_dir: PathBuf) -> Self {
-        CoordinatorConfig {
-            out_dir,
-            resume: false,
-            lease: DEFAULT_FLEET_LEASE,
-            live: None,
-        }
-    }
-}
-
-/// One registered daemon.
-#[derive(Debug)]
-struct DaemonInfo {
-    /// Self-reported name (host:port or free text), for metrics and logs.
-    #[allow(dead_code)]
-    name: String,
-    /// Worker threads the daemon runs (sizes the stats `workers` figure).
-    workers: u32,
-    /// Last time any frame arrived from this daemon.
-    last_seen: Instant,
-    /// Whether a poll has been answered `NoWork{draining: true}` — the
-    /// daemon knows to exit, so a graceful shutdown may close the
-    /// listener without stranding it.
-    told_draining: bool,
-}
-
-/// What a fleet poll handed out.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PollReply {
-    /// One leased assignment.
-    Assignment {
-        /// Task id (echoed back in the push).
-        task: u64,
-        /// Lease epoch (echoed back in the push).
-        epoch: u64,
-        /// The job to run.
-        spec: JobSpec,
-    },
-    /// Nothing assignable; `draining` means nothing ever will be again.
-    NoWork {
-        /// The coordinator is draining.
-        draining: bool,
-    },
-}
-
-/// Internal lifecycle of one fleet queue entry — the engine's phase
-/// machine with `Running{worker}` generalized to `Assigned{daemon}`.
-#[derive(Debug)]
-enum Phase {
-    Queued {
-        skip: bool,
-    },
-    Assigned {
-        daemon: u64,
-    },
-    /// Result received; parked for the committer.
-    Settled,
-    Done {
-        ok: bool,
-        attempts: u32,
-    },
-    Cancelled,
-}
-
-struct Entry {
-    spec: JobSpec,
-    /// The benchmark's canonical `&'static str` name (validated at submit).
-    name: &'static str,
-    phase: Phase,
-    enqueued: Instant,
-    /// Queue wait of the committed assignment (recorded at assignment).
-    queue_wait: Duration,
-    outcome: Option<RemoteOutcome>,
-    /// Bumped on every reassignment; a push under a stale epoch is
-    /// discarded.
-    epoch: u64,
-    /// Times the job was assigned to a daemon.
-    assignments: u32,
-    /// Lease deadline while `Assigned`.
-    deadline: Option<Instant>,
-    history: Vec<JobState>,
-}
-
-struct State {
-    entries: Vec<Entry>,
-    next_assign: usize,
-    /// Reassigned tasks, handed out before the FIFO prefix.
-    requeued: VecDeque<usize>,
-    next_commit: usize,
-    draining: bool,
-    shutdown: bool,
-    daemons: HashMap<u64, DaemonInfo>,
-    next_daemon: u64,
-    done_names: HashSet<String>,
-    dedup: HashMap<u64, u64>,
-    busy: Duration,
-    wait_sum: Duration,
-    settled: u32,
-    done: u32,
-    failed: u32,
-    cancelled: u32,
-    reassigned: u32,
-    stale_results: u32,
-    /// A daemon was reaped without ever being told the queue is
-    /// draining — it may be partitioned rather than dead, so a graceful
-    /// drain waits a full deregistration cutoff for it to re-register.
-    reaped_untold: bool,
-}
-
-impl State {
-    fn assigned_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Assigned { .. }))
-            .count()
-    }
-}
-
-struct Inner {
-    state: Mutex<State>,
-    /// Committer, reaper, and watchers sleep here for any state change.
-    changed: Condvar,
-    lease: Duration,
-    started: Instant,
-    out_dir: PathBuf,
-    /// The streaming aggregate daemon-pushed delta flushes land in.
-    live: Arc<LiveAggregate>,
-}
-
-/// The shared fleet coordinator. Cheap to clone; all clones drive one
-/// queue.
-#[derive(Clone)]
-pub struct Coordinator {
-    inner: Arc<Inner>,
-    threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-}
-
-impl Coordinator {
-    /// Opens the ledger (resuming the settled prefix if asked) and starts
-    /// the committer and lease-reaper threads.
-    #[must_use]
-    pub fn start(config: &CoordinatorConfig) -> Coordinator {
-        let ledger = Ledger::open(Some(&config.out_dir), config.resume);
-        let done_names: HashSet<String> = ledger.done_names().into_iter().collect();
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                entries: Vec::new(),
-                next_assign: 0,
-                requeued: VecDeque::new(),
-                next_commit: 0,
-                draining: false,
-                shutdown: false,
-                daemons: HashMap::new(),
-                next_daemon: 1,
-                done_names,
-                dedup: HashMap::new(),
-                busy: Duration::ZERO,
-                wait_sum: Duration::ZERO,
-                settled: 0,
-                done: 0,
-                failed: 0,
-                cancelled: 0,
-                reassigned: 0,
-                stale_results: 0,
-                reaped_untold: false,
-            }),
-            changed: Condvar::new(),
-            lease: config.lease.max(Duration::from_millis(1)),
-            started: Instant::now(),
-            out_dir: config.out_dir.clone(),
-            live: config.live.clone().unwrap_or_default(),
-        });
-        let mut threads = Vec::with_capacity(2);
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(thread::spawn(move || committer_loop(&inner, ledger)));
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(thread::spawn(move || reaper_loop(&inner)));
-        }
-        Coordinator {
-            inner,
-            threads: Arc::new(Mutex::new(threads)),
-        }
-    }
-
-    /// Registers a daemon, returning its fresh id and the lease duration
-    /// in milliseconds. Every registration gets a new id — a restarted
-    /// daemon never aliases its dead predecessor's leases.
-    pub fn register(&self, name: &str, workers: u32) -> (u64, u64) {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        let id = state.next_daemon;
-        state.next_daemon += 1;
-        state.daemons.insert(
-            id,
-            DaemonInfo {
-                name: name.to_owned(),
-                workers: workers.max(1),
-                last_seen: Instant::now(),
-                told_draining: false,
-            },
-        );
-        drop(state);
-        self.inner.changed.notify_all();
-        (id, self.inner.lease.as_millis() as u64)
-    }
-
-    /// A daemon's heartbeat: extends the leases of every assignment it
-    /// holds and returns how many that is.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorCode::UnknownDaemon`] if the id is not registered (the
-    /// coordinator restarted or dropped the daemon as dead) — the daemon
-    /// must re-register.
-    pub fn beacon(&self, daemon: u64) -> Result<u32, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)
-    }
-
-    /// Hands the daemon one leased assignment, or `NoWork`. Polling also
-    /// counts as a heartbeat. Reassigned tasks go out before the FIFO
-    /// prefix (their watchers are already stalled), and keep going out
-    /// during a drain so surviving daemons fill holes left by dead ones;
-    /// fresh FIFO work stops at drain.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorCode::UnknownDaemon`] — see [`Coordinator::beacon`].
-    pub fn poll_job(&self, daemon: u64) -> Result<PollReply, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)?;
-        let index = if let Some(index) = state.requeued.pop_front() {
-            index
-        } else {
-            // Skip entries that will never need a daemon (cancelled,
-            // resume-skips — the committer acknowledges those).
-            while state.next_assign < state.entries.len()
-                && !matches!(
-                    state.entries[state.next_assign].phase,
-                    Phase::Queued { skip: false }
-                )
-            {
-                state.next_assign += 1;
-                self.inner.changed.notify_all();
-            }
-            if state.next_assign < state.entries.len() && !state.draining {
-                let index = state.next_assign;
-                state.next_assign += 1;
-                index
-            } else {
-                let draining = state.draining || state.shutdown;
-                if draining {
-                    if let Some(info) = state.daemons.get_mut(&daemon) {
-                        info.told_draining = true;
-                    }
-                    drop(state);
-                    self.inner.changed.notify_all();
-                }
-                return Ok(PollReply::NoWork { draining });
-            }
-        };
-        let wait = state.entries[index].enqueued.elapsed();
-        let entry = &mut state.entries[index];
-        entry.phase = Phase::Assigned { daemon };
-        entry.assignments += 1;
-        entry.queue_wait = wait;
-        entry.deadline = Some(Instant::now() + self.inner.lease);
-        #[allow(clippy::cast_possible_truncation)]
-        entry.history.push(JobState::Running {
-            worker: daemon as u32,
-        });
-        let reply = PollReply::Assignment {
-            task: index as u64 + 1,
-            epoch: entry.epoch,
-            spec: entry.spec.clone(),
-        };
-        drop(state);
-        self.inner.changed.notify_all();
-        Ok(reply)
-    }
-
-    /// Accepts one pushed result. Returns whether it was (or already had
-    /// been) committed under this epoch; `false` means the epoch was stale
-    /// — the task was reassigned while the daemon was silent — and the
-    /// result was discarded. Duplicate pushes for an already-settled task
-    /// under the live epoch are acked `true` without committing twice, so
-    /// a daemon retrying a lost ack is safe.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorCode::UnknownDaemon`] — see [`Coordinator::beacon`].
-    pub fn push_result(
-        &self,
-        daemon: u64,
-        task: u64,
-        epoch: u64,
-        outcome: RemoteOutcome,
-    ) -> Result<bool, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)?;
-        let Some(index) = task
-            .checked_sub(1)
-            .and_then(|i| usize::try_from(i).ok())
-            .filter(|&i| i < state.entries.len())
-        else {
-            return Ok(false);
-        };
-        let entry = &mut state.entries[index];
-        if entry.epoch != epoch {
-            state.stale_results += 1;
-            return Ok(false);
-        }
-        match entry.phase {
-            Phase::Assigned { .. } => {
-                entry.outcome = Some(outcome);
-                entry.phase = Phase::Settled;
-                entry.deadline = None;
-                drop(state);
-                self.inner.changed.notify_all();
-                Ok(true)
-            }
-            // Same epoch, already settled or committed: the daemon is
-            // retrying a push whose ack got lost. Idempotent.
-            Phase::Settled | Phase::Done { .. } => Ok(true),
-            _ => {
-                state.stale_results += 1;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Folds one daemon-pushed delta flush into the live aggregate.
-    /// Counts as a heartbeat (streaming *is* liveness). Returns whether
-    /// the flush was accepted: a daemon pushing for a benchmark it does
-    /// not currently hold — its lease expired and the job was reassigned —
-    /// is refused, so a resurrected daemon cannot pollute the fresh
-    /// assignment's slot. Purely observational either way.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorCode::UnknownDaemon`] — see [`Coordinator::beacon`].
-    pub fn accept_delta(&self, daemon: u64, event: &DeltaEvent) -> Result<bool, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)?;
-        let holds = state.entries.iter().any(|e| {
-            e.name == event.bench && matches!(e.phase, Phase::Assigned { daemon: d } if d == daemon)
-        });
-        drop(state);
-        if holds {
-            self.inner.live.ingest(event);
-        }
-        Ok(holds)
-    }
-
-    /// The coordinator's live streaming aggregate.
-    #[must_use]
-    pub fn live(&self) -> Arc<LiveAggregate> {
-        Arc::clone(&self.inner.live)
-    }
-
-    /// The submitted scale of `bench`, for server-side symbol resolution.
-    /// `None` until a job for that benchmark has been submitted.
-    #[must_use]
-    pub fn scale_of(&self, bench: &str) -> Option<SuiteScale> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        state
-            .entries
-            .iter()
-            .find(|e| e.name == bench)
-            .map(|e| e.spec.scale)
-    }
-
-    /// Human-readable names for `syms` of `bench` at granularity `g`.
-    /// The coordinator never resolves programs itself (daemons do), so
-    /// this regenerates the benchmark — callers should cache.
-    #[must_use]
-    pub fn symbol_names(&self, bench: &str, g: Granularity, syms: &[u32]) -> Option<Vec<String>> {
-        let scale = self.scale_of(bench)?;
-        let name = BENCHMARK_NAMES.iter().find(|&&n| n == bench)?;
-        let program = benchmark(name, scale).program;
-        let n = program.num_symbols(g) as u32;
-        Some(
-            syms.iter()
-                .map(|&s| {
-                    if s < n {
-                        program.symbol_name(g, SymbolId(s))
-                    } else {
-                        format!("sym{s}")
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    /// Enqueues a job with an idempotency key — the fleet analogue of
-    /// [`crate::engine::Engine::submit_deduped`], with identical
-    /// validation and resume-skip semantics. The program itself is *not*
-    /// generated here: daemons regenerate it from the bench name, which
-    /// keeps assignments small and artifacts byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] for an unknown benchmark or core preset, or when
-    /// the coordinator is draining.
-    pub fn submit_deduped(&self, spec: &JobSpec, req_id: u64) -> Result<u64, SubmitError> {
-        let Some(&name) = BENCHMARK_NAMES.iter().find(|&&n| n == spec.bench) else {
-            return Err(SubmitError::UnknownBench(spec.bench.clone()));
-        };
-        resolve_core(&spec.core)?;
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        if req_id != 0 {
-            if let Some(&id) = state.dedup.get(&req_id) {
-                return Ok(id);
-            }
-        }
-        if state.draining || state.shutdown {
-            return Err(SubmitError::Draining);
-        }
-        let skip = state.done_names.contains(name);
-        let ahead = state
-            .entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-            .count() as u32;
-        state.entries.push(Entry {
-            spec: spec.clone(),
-            name,
-            phase: Phase::Queued { skip },
-            enqueued: Instant::now(),
-            queue_wait: Duration::ZERO,
-            outcome: None,
-            epoch: 0,
-            assignments: 0,
-            deadline: None,
-            history: vec![JobState::Queued { ahead }],
-        });
-        let id = state.entries.len() as u64;
-        if req_id != 0 {
-            state.dedup.insert(req_id, id);
-        }
-        drop(state);
-        self.inner.changed.notify_all();
-        Ok(id)
-    }
-
-    /// The benchmark name a job runs, for live-view lookups. `None` for an
-    /// unknown id.
-    #[must_use]
-    pub fn bench_of(&self, job: u64) -> Option<String> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
-        Some(state.entries[index].name.to_owned())
-    }
-
-    /// The job's current externally visible state, or `None` for an
-    /// unknown id.
-    #[must_use]
-    pub fn status(&self, job: u64) -> Option<JobState> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
-        Some(match state.entries[index].phase {
-            Phase::Queued { .. } => JobState::Queued {
-                ahead: state.entries[state.next_assign.min(index)..index]
-                    .iter()
-                    .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-                    .count() as u32,
-            },
-            #[allow(clippy::cast_possible_truncation)]
-            Phase::Assigned { daemon } => JobState::Running {
-                worker: daemon as u32,
-            },
-            // Settled-but-uncommitted reports as still running: `Done`
-            // must imply the result file is on disk.
-            Phase::Settled => JobState::Running { worker: 0 },
-            Phase::Done { ok, attempts } => JobState::Done { ok, attempts },
-            Phase::Cancelled => JobState::Cancelled,
-        })
-    }
-
-    /// The job's progress history from `from_seq` on; `None` for an
-    /// unknown id.
-    #[must_use]
-    pub fn history_from(&self, job: u64, from_seq: u64) -> Option<Vec<(u64, JobState)>> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
-        Some(history_tail(&state.entries[index], from_seq))
-    }
-
-    /// Blocks until the job's history grows past `from_seq` (or the
-    /// timeout elapses). `None` for an unknown id.
-    #[must_use]
-    pub fn wait_history(
-        &self,
-        job: u64,
-        from_seq: u64,
-        timeout: Duration,
-    ) -> Option<Vec<(u64, JobState)>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
-        loop {
-            let tail = history_tail(&state.entries[index], from_seq);
-            if !tail.is_empty() {
-                return Some(tail);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Some(tail);
-            }
-            state = self
-                .inner
-                .changed
-                .wait_timeout(state, left)
-                .expect("fleet lock")
-                .0;
-        }
-    }
-
-    /// Jobs waiting in the queue — the server's load-shedding figure.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        let state = self.inner.state.lock().expect("fleet lock");
-        state
-            .entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-            .count()
-    }
-
-    /// Cancels a still-queued job (same rules as the engine: never
-    /// assigned, not a resume-skip).
-    #[must_use]
-    pub fn cancel(&self, job: u64) -> bool {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        let Some(index) = job_index(&state, job) else {
-            return false;
-        };
-        if index < state.next_assign
-            || !matches!(state.entries[index].phase, Phase::Queued { skip: false })
-        {
-            return false;
-        }
-        state.entries[index].phase = Phase::Cancelled;
-        state.entries[index].history.push(JobState::Cancelled);
-        state.cancelled += 1;
-        drop(state);
-        self.inner.changed.notify_all();
-        true
-    }
-
-    /// Reads a finished job's result file back.
-    ///
-    /// # Errors
-    ///
-    /// A one-line reason when the job is unknown, not finished, cancelled,
-    /// or its file cannot be read.
-    pub fn result(&self, job: u64) -> Result<String, String> {
-        let bench = {
-            let state = self.inner.state.lock().expect("fleet lock");
-            let Some(index) = job_index(&state, job) else {
-                return Err(format!("unknown job {job}"));
-            };
-            match state.entries[index].phase {
-                Phase::Done { .. } => state.entries[index].name.to_owned(),
-                Phase::Cancelled => return Err(format!("job {job} was cancelled")),
-                _ => return Err(format!("job {job} has not finished")),
-            }
-        };
-        std::fs::read_to_string(result_path(&self.inner.out_dir, &bench))
-            .map_err(|e| format!("result file unreadable: {e}"))
-    }
-
-    /// A snapshot of the coordinator's counters (`connections` and `shed`
-    /// are left 0 for the server layer).
-    #[must_use]
-    pub fn stats(&self) -> ServerStats {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let queued = state
-            .entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-            .count() as u32;
-        let running = state.assigned_count() as u32;
-        let workers: u32 = state.daemons.values().map(|d| d.workers).sum();
-        let uptime = self.inner.started.elapsed();
-        let worker_seconds = uptime.as_secs_f64() * f64::from(workers.max(1));
-        ServerStats {
-            queued,
-            running,
-            done: state.done,
-            failed: state.failed,
-            cancelled: state.cancelled,
-            workers,
-            connections: 0,
-            mean_queue_wait_ms: if state.settled > 0 {
-                state.wait_sum.as_secs_f64() * 1e3 / f64::from(state.settled)
-            } else {
-                0.0
-            },
-            worker_utilization: if worker_seconds > 0.0 {
-                (state.busy.as_secs_f64() / worker_seconds).min(1.0)
-            } else {
-                0.0
-            },
-            uptime_ms: uptime.as_millis() as u64,
-            reassigned: state.reassigned,
-            shed: 0,
-            daemons: state.daemons.len() as u32,
-            stale: state.stale_results,
-            deltas: 0,
-            streamed: 0,
-        }
-    }
-
-    /// Stale pushes discarded so far (test observability).
-    #[must_use]
-    pub fn stale_results(&self) -> u32 {
-        self.inner.state.lock().expect("fleet lock").stale_results
-    }
-
-    /// Stops handing out fresh work; reassignments still go out so
-    /// surviving daemons can fill holes, and in-flight pushes still
-    /// commit.
-    pub fn drain(&self) {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        state.draining = true;
-        drop(state);
-        self.inner.changed.notify_all();
-    }
-
-    /// Blocks until every registered daemon has been answered with a
-    /// draining `NoWork` — or has lapsed and been reaped — so a graceful
-    /// shutdown can close the listener without stranding agents: they
-    /// dial per request, and a listener that vanishes before the drain
-    /// broadcast leaves them spinning out their give-up window.
-    ///
-    /// Sending the notice is not the same as the agent decoding it: a
-    /// chaotic link can corrupt the one reply that carried it, and the
-    /// agent's retry must still find the listener up. A told agent that
-    /// got the notice exits and goes silent; one that missed it keeps
-    /// dialing. So beyond `told_draining`, every registered daemon must
-    /// also have been *quiet* for a settle window (longer than the
-    /// client's retry backoff) before the wait releases.
-    ///
-    /// If any daemon was ever reaped *without* hearing the notice, it may
-    /// be partitioned rather than dead (a chaotic link can silence an
-    /// agent past the deregistration cutoff), so the wait holds for the
-    /// full window regardless — a live agent re-registers well within it,
-    /// gets its `NoWork{draining}`, and exits clean. Bounded either way:
-    /// one deregistration cutoff (plus a settle window) past the call, a
-    /// daemon that never contacted again is exactly a dead one.
-    pub fn wait_agents_released(&self) {
-        let cutoff = self.inner.lease * (DEREGISTER_LEASES + 1);
-        let settle = self
-            .inner
-            .lease
-            .clamp(Duration::from_secs(1), Duration::from_secs(2));
-        let start = Instant::now();
-        let deadline = start + cutoff;
-        let hard_cap = deadline + settle;
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        loop {
-            let now = Instant::now();
-            if now >= hard_cap {
-                return;
-            }
-            let all_told = state.daemons.values().all(|d| d.told_draining);
-            let quiet = state
-                .daemons
-                .values()
-                .all(|d| now.duration_since(d.last_seen) >= settle);
-            if all_told && quiet && (!state.reaped_untold || now >= deadline) {
-                return;
-            }
-            let wait = (hard_cap - now).min(Duration::from_millis(50));
-            let (guard, _) = self
-                .inner
-                .changed
-                .wait_timeout(state, wait)
-                .expect("fleet lock");
-            state = guard;
-        }
-    }
-
-    /// Shuts down and joins the committer and reaper, writing the final
-    /// `metrics.txt`. With `drain`, waits for in-flight assignments to
-    /// push (bounded by the lease: a dead daemon's assignment expires and
-    /// is abandoned); without, assignments are force-expired so anything
-    /// pushed afterwards is discarded as stale. Idempotent.
-    pub fn shutdown(&self, drain: bool) {
-        {
-            let mut state = self.inner.state.lock().expect("fleet lock");
-            state.draining = true;
-            state.shutdown = true;
-            if !drain {
-                for index in 0..state.entries.len() {
-                    let entry = &mut state.entries[index];
-                    if matches!(entry.phase, Phase::Assigned { .. }) {
-                        entry.epoch += 1;
-                        entry.phase = Phase::Queued { skip: false };
-                        entry.deadline = None;
-                        entry.history.push(JobState::Queued { ahead: 0 });
-                    }
-                }
-            }
-        }
-        self.inner.changed.notify_all();
-        let threads = std::mem::take(&mut *self.threads.lock().expect("fleet threads"));
-        for t in threads {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Marks contact from a daemon: refreshes its registration and extends
-/// every lease it holds. The common prologue of beacon/poll/push.
-fn touch(state: &mut State, daemon: u64, lease: Duration) -> Result<u32, ErrorCode> {
-    if !state.daemons.contains_key(&daemon) {
-        return Err(ErrorCode::UnknownDaemon);
-    }
-    let now = Instant::now();
-    if let Some(info) = state.daemons.get_mut(&daemon) {
-        info.last_seen = now;
-    }
-    let mut tasks = 0;
-    for entry in &mut state.entries {
-        if matches!(entry.phase, Phase::Assigned { daemon: d } if d == daemon) {
-            entry.deadline = Some(now + lease);
-            tasks += 1;
-        }
-    }
-    Ok(tasks)
-}
-
-fn history_tail(entry: &Entry, from_seq: u64) -> Vec<(u64, JobState)> {
-    let start = usize::try_from(from_seq).unwrap_or(usize::MAX);
-    entry
-        .history
-        .iter()
-        .enumerate()
-        .skip(start)
-        .map(|(i, &s)| (i as u64, s))
-        .collect()
-}
-
-fn job_index(state: &State, job: u64) -> Option<usize> {
-    let index = usize::try_from(job.checked_sub(1)?).ok()?;
-    (index < state.entries.len()).then_some(index)
-}
-
-fn resolve_core(preset: &str) -> Result<CoreConfig, SubmitError> {
-    match preset {
-        "" | "default" | "boom-4w" => Ok(CoreConfig::default()),
-        other => Err(SubmitError::UnknownCore(other.to_owned())),
-    }
-}
-
-/// The fleet lease reaper: requeues assignments whose lease expired with
-/// no contact from the holding daemon, and drops registrations that have
-/// been silent for [`DEREGISTER_LEASES`] leases.
-fn reaper_loop(inner: &Inner) {
-    let interval = (inner.lease / 4).clamp(Duration::from_millis(5), Duration::from_secs(1));
-    let mut state = inner.state.lock().expect("fleet lock");
-    loop {
-        if state.shutdown && state.assigned_count() == 0 {
-            return;
-        }
-        let now = Instant::now();
-        let mut requeued_any = false;
-        for index in 0..state.entries.len() {
-            let entry = &mut state.entries[index];
-            if !matches!(entry.phase, Phase::Assigned { .. }) {
-                continue;
-            }
-            let Some(deadline) = entry.deadline else {
-                continue;
-            };
-            if now < deadline {
-                continue;
-            }
-            // Lease expired: the daemon is silent or dead. Requeue under a
-            // bumped epoch; whatever the daemon eventually pushes for the
-            // old epoch is discarded.
-            entry.epoch += 1;
-            entry.phase = Phase::Queued { skip: false };
-            entry.deadline = None;
-            entry.history.push(JobState::Queued { ahead: 0 });
-            state.requeued.push_back(index);
-            state.reassigned += 1;
-            requeued_any = true;
-        }
-        let cutoff = inner.lease * DEREGISTER_LEASES;
-        let mut reaped_untold = false;
-        state.daemons.retain(|_, info| {
-            let keep = now.duration_since(info.last_seen) < cutoff;
-            if !keep && !info.told_draining {
-                // A daemon vanished without ever hearing the drain
-                // notice. If it is merely partitioned (not dead), it
-                // will re-register — a graceful drain must hold the
-                // listener open long enough to tell it.
-                reaped_untold = true;
-            }
-            keep
-        });
-        if reaped_untold {
-            state.reaped_untold = true;
-        }
-        if requeued_any || reaped_untold {
-            inner.changed.notify_all();
-        }
-        state = inner
-            .changed
-            .wait_timeout(state, interval)
-            .expect("fleet lock")
-            .0;
-    }
-}
-
-/// Work the fleet committer performs outside the lock.
-enum CommitStep {
-    Skip,
-    Cancelled,
-    Outcome(Box<RemoteOutcome>),
-    Exit,
-}
-
-fn committer_loop(inner: &Inner, mut ledger: Ledger) {
-    loop {
-        let (step, index) = {
-            let mut state = inner.state.lock().expect("fleet lock");
-            loop {
-                let i = state.next_commit;
-                if i < state.entries.len() {
-                    match state.entries[i].phase {
-                        Phase::Settled => {
-                            let outcome = state.entries[i].outcome.take().expect("settled outcome");
-                            break (CommitStep::Outcome(Box::new(outcome)), i);
-                        }
-                        Phase::Cancelled => break (CommitStep::Cancelled, i),
-                        Phase::Queued { skip: true } => break (CommitStep::Skip, i),
-                        _ => {}
-                    }
-                }
-                // Exit once nothing ahead can ever settle: shutdown was
-                // requested and no assignment is outstanding (a drain
-                // waits at most one lease for dead daemons' assignments
-                // to expire). Anything still unsettled stays unjournaled
-                // — a restarted coordinator re-dispatches it from the
-                // journal.
-                if state.shutdown && state.assigned_count() == 0 {
-                    break (CommitStep::Exit, i);
-                }
-                state = inner.changed.wait(state).expect("fleet lock");
-            }
-        };
-        match step {
-            CommitStep::Exit => break,
-            CommitStep::Skip => {
-                ledger.note_skipped();
-                let mut state = inner.state.lock().expect("fleet lock");
-                state.entries[index].phase = Phase::Done {
-                    ok: true,
-                    attempts: 0,
-                };
-                state.entries[index].history.push(JobState::Done {
-                    ok: true,
-                    attempts: 0,
-                });
-                state.done += 1;
-                state.next_commit += 1;
-                drop(state);
-                inner.changed.notify_all();
-            }
-            CommitStep::Cancelled => {
-                let mut state = inner.state.lock().expect("fleet lock");
-                state.next_commit += 1;
-                drop(state);
-                inner.changed.notify_all();
-            }
-            CommitStep::Outcome(outcome) => {
-                let (name, metrics) = {
-                    let mut state = inner.state.lock().expect("fleet lock");
-                    let wall = Duration::from_secs_f64(outcome.wall_ms.max(0.0) / 1e3);
-                    let queue_wait = state.entries[index].queue_wait;
-                    state.busy += wall;
-                    state.wait_sum += queue_wait;
-                    state.settled += 1;
-                    let e = &state.entries[index];
-                    // `Settled` already cleared the assignment; the last
-                    // Running history entry carries the daemon that ran it.
-                    let daemon = e
-                        .history
-                        .iter()
-                        .rev()
-                        .find_map(|s| match s {
-                            JobState::Running { worker } => Some(*worker),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
-                    let metrics = JobMetrics {
-                        wall,
-                        queue_wait,
-                        worker: outcome.worker as usize,
-                        assignments: e.assignments,
-                        daemon,
-                        cycles: outcome.cycles,
-                        instructions: outcome.instructions,
-                        ipc: outcome.ipc,
-                    };
-                    (e.name, metrics)
-                };
-                let ok = outcome.ok;
-                let attempts = outcome.attempts;
-                ledger.commit_remote(
-                    name,
-                    ok,
-                    attempts,
-                    &outcome.body,
-                    &outcome.error_line,
-                    metrics,
-                );
-                inner.live.mark_settled(name, ok);
-                let mut state = inner.state.lock().expect("fleet lock");
-                state.entries[index].phase = Phase::Done { ok, attempts };
-                state.entries[index]
-                    .history
-                    .push(JobState::Done { ok, attempts });
-                state.done_names.insert(name.to_owned());
-                if ok {
-                    state.done += 1;
-                } else {
-                    state.failed += 1;
-                }
-                state.next_commit += 1;
-                drop(state);
-                inner.changed.notify_all();
-            }
-        }
-    }
-    let workers: usize = {
-        let state = inner.state.lock().expect("fleet lock");
-        state.daemons.values().map(|d| d.workers as usize).sum()
-    };
-    ledger.finish(tip_bench::executor::ExecSummary {
-        workers: workers.max(1),
-        wall: inner.started.elapsed(),
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Agent: the daemon half of the fleet (what `tipd --join` runs).
-// ---------------------------------------------------------------------------
 
 /// How a fleet agent runs.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
     /// Coordinator address (`host:port`).
     pub coordinator: String,
-    /// Self-reported name (host:port or free text) for the coordinator's
-    /// registry.
+    /// Self-reported name (host:port or free text) sent with `Register`.
     pub name: String,
     /// Worker threads pulling assignments.
     pub workers: usize,
@@ -1281,7 +279,7 @@ fn worker_loop(
                 note(&session, &res);
             })
         };
-        let outcome = run_assignment(&spec, worker, task, &sink);
+        let outcome = run_assignment(&spec, &SpecRunner, worker, &Heartbeat::noop(), &sink);
         // Push until acked; a lost ack retries idempotently, a stale epoch
         // or unknown-task refusal just drops the result (the coordinator
         // reassigned it).
@@ -1310,9 +308,17 @@ fn worker_loop(
 }
 
 /// Runs one assignment exactly like a local campaign worker would and
-/// renders the result-file bytes the coordinator will persist verbatim.
-/// Delta flushes stream through `sink` while the run progresses.
-fn run_assignment(spec: &JobSpec, worker: usize, task: u64, sink: &DeltaSink) -> RemoteOutcome {
+/// renders the result-file bytes the committer will persist verbatim. Both
+/// holder kinds run jobs through here: an engine's local workers and fleet
+/// agents. `heartbeat` ticks at every attempt boundary; delta flushes
+/// stream through `sink` while the run progresses.
+pub(crate) fn run_assignment<R: Runner>(
+    spec: &JobSpec,
+    runner: &R,
+    worker: usize,
+    heartbeat: &Heartbeat,
+    sink: &DeltaSink,
+) -> RemoteOutcome {
     let Some(&name) = BENCHMARK_NAMES.iter().find(|&&n| n == spec.bench) else {
         return refused_outcome(worker, &format!("unknown bench {:?}", spec.bench));
     };
@@ -1331,16 +337,7 @@ fn run_assignment(spec: &JobSpec, worker: usize, task: u64, sink: &DeltaSink) ->
         max_cycles: MAX_CYCLES,
         pgo: spec.pgo,
     };
-    let index = usize::try_from(task.saturating_sub(1)).unwrap_or(0);
-    let outcome = run_job_streaming(
-        index,
-        &job,
-        &SpecRunner,
-        Duration::ZERO,
-        worker,
-        &Heartbeat::live(),
-        sink,
-    );
+    let outcome = run_job_streaming(0, &job, runner, Duration::ZERO, worker, heartbeat, sink);
     let attempts = outcome.attempts;
     let metrics = outcome.metrics;
     #[allow(clippy::cast_possible_truncation)]
@@ -1405,265 +402,5 @@ fn refused_outcome(worker: usize, message: &str) -> RemoteOutcome {
         cycles: 0,
         instructions: 0,
         ipc: 0.0,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tip_workloads::SuiteScale;
-
-    fn spec(bench: &str) -> JobSpec {
-        let mut s = JobSpec::new(bench, SuiteScale::Test);
-        s.profilers = vec![tip_core::ProfilerId::Tip];
-        s
-    }
-
-    fn outcome_for(c: &Coordinator, spec_: &JobSpec, task: u64) -> RemoteOutcome {
-        let _ = c; // Coordinator-independent: the agent renders locally.
-        run_assignment(spec_, 0, task, &DeltaSink::noop())
-    }
-
-    #[test]
-    fn register_assign_push_commits_in_order() {
-        let dir = std::env::temp_dir().join(format!("tip-fleet-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let c = Coordinator::start(&CoordinatorConfig {
-            out_dir: dir.clone(),
-            resume: false,
-            lease: Duration::from_secs(30),
-            live: None,
-        });
-        let (daemon, lease_ms) = c.register("unit", 2);
-        assert!(daemon >= 1);
-        assert_eq!(lease_ms, 30_000);
-        let a = c.submit_deduped(&spec("mcf"), 0).expect("submit");
-        let b = c.submit_deduped(&spec("exchange2"), 0).expect("submit");
-        assert_eq!((a, b), (1, 2));
-
-        // Pull both, push out of order; the committer still writes in
-        // submission order and both reach Done.
-        let Ok(PollReply::Assignment {
-            task: t1,
-            epoch: e1,
-            spec: s1,
-        }) = c.poll_job(daemon)
-        else {
-            panic!("expected assignment")
-        };
-        let Ok(PollReply::Assignment {
-            task: t2,
-            epoch: e2,
-            spec: s2,
-        }) = c.poll_job(daemon)
-        else {
-            panic!("expected assignment")
-        };
-        assert_eq!((t1, t2), (1, 2));
-        let o2 = outcome_for(&c, &s2, t2);
-        let o1 = outcome_for(&c, &s1, t1);
-        assert!(c.push_result(daemon, t2, e2, o2).expect("push"));
-        assert!(c.push_result(daemon, t1, e1, o1.clone()).expect("push"));
-        // Duplicate push (lost ack): still acked, not double-committed.
-        assert!(c.push_result(daemon, t1, e1, o1).expect("push"));
-
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let done = matches!(c.status(1), Some(JobState::Done { ok: true, .. }))
-                && matches!(c.status(2), Some(JobState::Done { ok: true, .. }));
-            if done {
-                break;
-            }
-            assert!(Instant::now() < deadline, "commit timed out");
-            thread::sleep(Duration::from_millis(10));
-        }
-        c.shutdown(true);
-        let journal = std::fs::read_to_string(dir.join("journal.txt")).expect("journal");
-        assert_eq!(journal, "done mcf\ndone exchange2\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn expired_lease_reassigns_and_discards_the_stale_push() {
-        let dir = std::env::temp_dir().join(format!("tip-fleet-stale-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let c = Coordinator::start(&CoordinatorConfig {
-            out_dir: dir.clone(),
-            resume: false,
-            lease: Duration::from_millis(40),
-            live: None,
-        });
-        let (dead, _) = c.register("dead", 1);
-        assert_eq!(c.submit_deduped(&spec("mcf"), 0).expect("submit"), 1);
-        let Ok(PollReply::Assignment {
-            task,
-            epoch,
-            spec: s,
-        }) = c.poll_job(dead)
-        else {
-            panic!("expected assignment")
-        };
-        // Go silent past the lease; the reaper requeues under a new epoch.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if c.stats().reassigned >= 1 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "reaper never fired");
-            thread::sleep(Duration::from_millis(10));
-        }
-        // The dead daemon may have been deregistered outright (silence past
-        // DEREGISTER_LEASES); both refusal shapes discard the result.
-        let o = outcome_for(&c, &s, task);
-        match c.push_result(dead, task, epoch, o.clone()) {
-            Ok(accepted) => {
-                assert!(!accepted, "stale push must be refused");
-                assert_eq!(c.stale_results(), 1);
-            }
-            Err(code) => assert_eq!(code, ErrorCode::UnknownDaemon),
-        }
-        // A live daemon picks the job back up and settles it for real.
-        let (live, _) = c.register("live", 1);
-        let Ok(PollReply::Assignment {
-            task: t2,
-            epoch: e2,
-            spec: s2,
-        }) = c.poll_job(live)
-        else {
-            panic!("expected reassignment")
-        };
-        assert_eq!(t2, task);
-        assert!(e2 > epoch);
-        assert_eq!(s2, s);
-        // The result bytes are deterministic — same spec, same task — so
-        // the dead daemon's rendered outcome is exactly what the live one
-        // would produce. The tiny test lease may keep expiring while we
-        // push, so chase the epoch until a push lands.
-        let mut accepted = c.push_result(live, t2, e2, o.clone()).expect("push");
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !accepted {
-            assert!(Instant::now() < deadline, "push never landed");
-            match c.poll_job(live) {
-                Ok(PollReply::Assignment {
-                    task: t, epoch: e, ..
-                }) => {
-                    assert_eq!(t, task);
-                    accepted = c.push_result(live, t, e, o.clone()).expect("push");
-                }
-                _ => thread::sleep(Duration::from_millis(5)),
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            if matches!(c.status(1), Some(JobState::Done { ok: true, .. })) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "commit timed out");
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert!(c.stats().reassigned >= 1);
-        c.shutdown(true);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_skips_the_settled_prefix_and_unknown_daemons_must_reregister() {
-        let dir = std::env::temp_dir().join(format!("tip-fleet-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(dir.join("journal.txt"), "done mcf\n").expect("seed journal");
-        let c = Coordinator::start(&CoordinatorConfig {
-            out_dir: dir.clone(),
-            resume: true,
-            lease: Duration::from_secs(30),
-            live: None,
-        });
-        // A daemon id from a previous coordinator incarnation is unknown.
-        assert_eq!(c.beacon(99), Err(ErrorCode::UnknownDaemon));
-        assert_eq!(c.poll_job(99).unwrap_err(), ErrorCode::UnknownDaemon);
-
-        assert_eq!(c.submit_deduped(&spec("mcf"), 7).expect("submit"), 1);
-        // Idempotent resubmission returns the same id.
-        assert_eq!(c.submit_deduped(&spec("mcf"), 7).expect("submit"), 1);
-        let (daemon, _) = c.register("fresh", 1);
-        // The journalled bench is a resume-skip: no assignment goes out.
-        assert_eq!(
-            c.poll_job(daemon).expect("poll"),
-            PollReply::NoWork { draining: false }
-        );
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if matches!(
-                c.status(1),
-                Some(JobState::Done {
-                    ok: true,
-                    attempts: 0
-                })
-            ) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "skip-ack timed out");
-            thread::sleep(Duration::from_millis(10));
-        }
-        c.shutdown(true);
-        let journal = std::fs::read_to_string(dir.join("journal.txt")).expect("journal");
-        assert_eq!(journal, "done mcf\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn accept_delta_requires_the_daemon_to_hold_the_assignment() {
-        use tip_core::{BankDeltas, ProfileDelta, NUM_CATEGORIES};
-
-        let event = |seq: u64| DeltaEvent {
-            bench: "mcf".to_owned(),
-            attempt: 1,
-            deltas: BankDeltas {
-                seq,
-                per_profiler: vec![(
-                    tip_core::ProfilerId::Tip,
-                    ProfileDelta::from_entries(Granularity::Function, 8, [(0, 840)]),
-                )],
-                oracle: ProfileDelta::from_entries(Granularity::Function, 8, [(1, 840)]),
-                stack: vec![0; NUM_CATEGORIES],
-                cycles: seq * 1_000,
-            },
-        };
-
-        let dir = std::env::temp_dir().join(format!("tip-fleet-delta-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let c = Coordinator::start(&CoordinatorConfig {
-            out_dir: dir.clone(),
-            resume: false,
-            lease: Duration::from_secs(30),
-            live: None,
-        });
-        let (holder, _) = c.register("holder", 1);
-        assert_eq!(c.submit_deduped(&spec("mcf"), 0).expect("submit"), 1);
-
-        // Before the assignment goes out nobody holds the bench: the push is
-        // acked-but-dropped, and nothing reaches the aggregate.
-        assert_eq!(c.accept_delta(holder, &event(1)), Ok(false));
-        assert!(c.live().view().bench("mcf").is_none());
-        // A daemon the coordinator never met is refused outright.
-        assert_eq!(c.accept_delta(99, &event(1)), Err(ErrorCode::UnknownDaemon));
-
-        let Ok(PollReply::Assignment { .. }) = c.poll_job(holder) else {
-            panic!("expected assignment")
-        };
-        assert_eq!(c.accept_delta(holder, &event(1)), Ok(true));
-        let view = c.live().view();
-        assert_eq!(view.bench("mcf").map(|b| b.flushes), Some(1));
-
-        // A registered bystander that does not hold the lease is fenced off:
-        // its (stale-epoch) stream must not corrupt the holder's slot.
-        let (bystander, _) = c.register("bystander", 1);
-        assert_eq!(c.accept_delta(bystander, &event(2)), Ok(false));
-        assert_eq!(c.live().view().bench("mcf").map(|b| b.flushes), Some(1));
-        c.shutdown(false);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

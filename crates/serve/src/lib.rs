@@ -14,11 +14,16 @@
 //!   CRC-32-framed messages sharing `tip-trace`'s framing primitives and
 //!   error vocabulary ([`tip_trace::TraceError`] classifies socket damage
 //!   exactly like trace-file damage).
-//! * [`engine`] — the job queue bridged into
-//!   [`tip_bench::run_job`]/[`tip_bench::ledger::Ledger`]: FIFO claiming,
-//!   a single ordered committer, graceful drain, journal-driven resume.
-//!   Same job sequence ⇒ byte-identical artifacts, local or remote,
-//!   including across a daemon kill-and-resume.
+//! * [`engine`] — the one job scheduler behind a plain daemon and a fleet
+//!   coordinator: FIFO claiming, leases and epochs, one lease reaper, a
+//!   single ordered committer through [`tip_bench::ledger::Ledger`],
+//!   graceful drain, journal-driven resume. Jobs are run by *holders* of
+//!   two kinds — local worker threads, which claim in-process, and remote
+//!   fleet daemons, which claim over TIPW frames — and both run the same
+//!   [`tip_bench::run_job`] ladder and settle the same rendered outcome. A
+//!   coordinator is the engine started with zero local workers. Same job
+//!   sequence ⇒ byte-identical artifacts, local or remote, including
+//!   across a daemon kill-and-resume.
 //! * [`server`]/[`client`] — `std::net` TCP + `std::thread` only: bounded
 //!   acceptor, thread-per-connection, per-connection timeouts, typed
 //!   `Busy`/`Overloaded` backpressure; the client retries with capped,
@@ -29,11 +34,10 @@
 //!   drop/delay/corrupt/split chunks, mid-stream disconnect, half-close.
 //!   The harness that proves the other three layers' fault story — on the
 //!   client↔daemon hop and the coordinator↔daemon hop alike.
-//! * [`fleet`] — the coordinator that shards a campaign across N
-//!   registered daemons over TIPW v3 frames (register/beacon/poll/push)
-//!   and merges streamed results through one in-order committer, plus the
-//!   agent half that `tipd --join` runs. The engine's lease/epoch/resume
-//!   semantics, lifted from worker threads to whole daemons.
+//! * [`fleet`] — the agent that `tipd --join` runs: it registers with a
+//!   coordinator over TIPW v3 frames (register/beacon/poll/push), runs its
+//!   assignments, and pushes the rendered results back — the engine's
+//!   remote holder.
 //!
 //! Since TIPW v4 the service also *streams*: engine workers and fleet
 //! agents flush quantized [`tip_bench::live`] profile deltas
@@ -67,10 +71,8 @@ pub mod server;
 
 pub use chaosnet::{chaos_proxy, ChaosConfig, ChaosHandle, ChaosStats, DirStats};
 pub use client::{Client, ClientError};
-pub use engine::{Engine, EngineConfig, SubmitError, DEFAULT_LEASE};
-pub use fleet::{
-    run_agent, AgentConfig, Coordinator, CoordinatorConfig, PollReply, DEFAULT_FLEET_LEASE,
-};
+pub use engine::{Engine, EngineConfig, PollReply, SubmitError, DEFAULT_LEASE};
+pub use fleet::{run_agent, AgentConfig, DEFAULT_FLEET_LEASE};
 pub use proto::{
     DeltaFrame, ErrorCode, JobSpec, JobState, QueryKind, QueryRow, RemoteOutcome, Request,
     Response, ServerStats,

@@ -10,10 +10,11 @@
 //! request that streams multiple frames back.
 //!
 //! Shutdown is wire-driven (a [`Request::Shutdown`] frame) or in-process
-//! ([`ServerHandle::shutdown`]): the acceptor stops, handlers finish their
-//! in-flight request within one I/O timeout, and the engine drains —
-//! in-flight jobs settle and commit, queued jobs stay unjournaled for a
-//! restarted daemon to resume.
+//! ([`ServerHandle::shutdown`]), both through one path: a draining
+//! coordinator first lets its fleet agents hear the drain, then the
+//! acceptor stops, handlers finish their in-flight request within one I/O
+//! timeout, and the engine drains — in-flight jobs settle and commit,
+//! queued jobs stay unjournaled for a restarted daemon to resume.
 
 use std::collections::HashMap;
 use std::io;
@@ -24,13 +25,11 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::engine::{Engine, EngineConfig, SubmitError, DEFAULT_LEASE};
-use crate::fleet::{Coordinator, CoordinatorConfig, PollReply};
+use crate::engine::{Engine, EngineConfig, PollReply, SubmitError, DEFAULT_LEASE};
 use crate::proto::{
-    read_request, write_response, ErrorCode, JobSpec, JobState, QueryKind, QueryRow, Request,
-    Response, ServerStats,
+    read_request, write_response, ErrorCode, JobState, QueryKind, QueryRow, Request, Response,
+    ServerStats,
 };
-use tip_bench::live::LiveAggregate;
 use tip_core::{CycleCategory, ProfilerId};
 use tip_isa::Granularity;
 use tip_trace::TraceError;
@@ -74,9 +73,9 @@ pub struct ServerConfig {
     /// handler sleeps out the window, so one hot client cannot starve the
     /// rest of the pool.
     pub max_frames_per_sec: u32,
-    /// Run as a fleet coordinator instead of a local job engine: no local
-    /// workers; jobs are sharded across daemons that `Register` over the
-    /// wire, and `lease` governs *daemon* liveness (default
+    /// Run as a fleet coordinator: the engine starts with no local workers
+    /// (`workers` is ignored); jobs are sharded across daemons that
+    /// `Register` over the wire, and `lease` governs *daemon* liveness (default
     /// [`crate::fleet::DEFAULT_FLEET_LEASE`] rather than [`DEFAULT_LEASE`] — a
     /// coordinator's daemons beacon from a dedicated thread, so the lease
     /// only has to outlive network jitter).
@@ -105,114 +104,11 @@ impl ServerConfig {
     }
 }
 
-/// What the server serves requests from: a local job engine (a plain
-/// `tipd`) or a fleet coordinator (`tipd --coordinator`). Both run the
-/// same queue/commit/resume semantics; only where the simulation happens
-/// differs.
-pub enum Backend {
-    /// Jobs run on this host's worker threads.
-    Local(Engine),
-    /// Jobs are sharded across registered fleet daemons.
-    Fleet(Coordinator),
-}
-
-impl Backend {
-    fn submit_deduped(&self, spec: &JobSpec, req_id: u64) -> Result<u64, SubmitError> {
-        match self {
-            Backend::Local(e) => e.submit_deduped(spec, req_id),
-            Backend::Fleet(c) => c.submit_deduped(spec, req_id),
-        }
-    }
-
-    fn status(&self, job: u64) -> Option<JobState> {
-        match self {
-            Backend::Local(e) => e.status(job),
-            Backend::Fleet(c) => c.status(job),
-        }
-    }
-
-    fn wait_history(
-        &self,
-        job: u64,
-        from_seq: u64,
-        timeout: Duration,
-    ) -> Option<Vec<(u64, JobState)>> {
-        match self {
-            Backend::Local(e) => e.wait_history(job, from_seq, timeout),
-            Backend::Fleet(c) => c.wait_history(job, from_seq, timeout),
-        }
-    }
-
-    fn result(&self, job: u64) -> Result<String, String> {
-        match self {
-            Backend::Local(e) => e.result(job),
-            Backend::Fleet(c) => c.result(job),
-        }
-    }
-
-    fn cancel(&self, job: u64) -> bool {
-        match self {
-            Backend::Local(e) => e.cancel(job),
-            Backend::Fleet(c) => c.cancel(job),
-        }
-    }
-
-    /// Counters for the stats endpoint (`connections`/`shed` filled by the
-    /// server layer).
-    pub fn stats(&self) -> ServerStats {
-        match self {
-            Backend::Local(e) => e.stats(),
-            Backend::Fleet(c) => c.stats(),
-        }
-    }
-
-    fn queue_depth(&self) -> usize {
-        match self {
-            Backend::Local(e) => e.queue_depth(),
-            Backend::Fleet(c) => c.queue_depth(),
-        }
-    }
-
-    fn drain(&self) {
-        match self {
-            Backend::Local(e) => e.drain(),
-            Backend::Fleet(c) => c.drain(),
-        }
-    }
-
-    fn bench_of(&self, job: u64) -> Option<String> {
-        match self {
-            Backend::Local(e) => e.bench_of(job),
-            Backend::Fleet(c) => c.bench_of(job),
-        }
-    }
-
-    fn symbol_names(&self, bench: &str, g: Granularity, syms: &[u32]) -> Option<Vec<String>> {
-        match self {
-            Backend::Local(e) => e.symbol_names(bench, g, syms),
-            Backend::Fleet(c) => c.symbol_names(bench, g, syms),
-        }
-    }
-
-    fn shutdown(&self, drain: bool) {
-        match self {
-            // The engine always finishes in-flight local jobs (workers are
-            // threads of this process; abandoning them buys nothing).
-            Backend::Local(e) => e.shutdown(),
-            Backend::Fleet(c) => c.shutdown(drain),
-        }
-    }
-}
-
 struct Shared {
-    backend: Backend,
-    /// The streaming aggregate every `PushDelta` lands in and every `Query`
-    /// reads from — shared with the backend, which feeds it from its own
-    /// workers (engine) or committer (coordinator).
-    live: Arc<LiveAggregate>,
+    engine: Engine,
     /// Symbol-name cache for `Query{TopN}` labels, keyed by benchmark: the
-    /// coordinator regenerates the workload program per lookup, so labels
-    /// are resolved once and reused.
+    /// engine regenerates the workload program per lookup, so labels are
+    /// resolved once and reused.
     labels: Mutex<HashMap<String, Vec<String>>>,
     shutdown: AtomicBool,
     /// Whether the requested shutdown drains in-flight fleet assignments
@@ -259,29 +155,22 @@ where
 {
     let listener = TcpListener::bind(&config.listen)?;
     let addr = listener.local_addr()?;
-    let live = Arc::new(LiveAggregate::new());
-    let backend = if config.coordinator {
-        Backend::Fleet(Coordinator::start(&CoordinatorConfig {
+    let engine = Engine::start_with_runner(
+        &EngineConfig {
             out_dir: config.out_dir.clone(),
+            workers: if config.coordinator {
+                0
+            } else {
+                config.workers.max(1)
+            },
             resume: config.resume,
             lease: config.lease,
-            live: Some(Arc::clone(&live)),
-        }))
-    } else {
-        Backend::Local(Engine::start_with_runner(
-            &EngineConfig {
-                out_dir: config.out_dir.clone(),
-                workers: config.workers,
-                resume: config.resume,
-                lease: config.lease,
-                live: Some(Arc::clone(&live)),
-            },
-            runner,
-        ))
-    };
+            live: None,
+        },
+        runner,
+    );
     let shared = Arc::new(Shared {
-        backend,
-        live,
+        engine,
         labels: Mutex::new(HashMap::new()),
         shutdown: AtomicBool::new(false),
         drain_on_shutdown: AtomicBool::new(true),
@@ -317,23 +206,9 @@ impl ServerHandle {
 
     /// The engine, for in-process inspection (tests, the daemon's exit
     /// report).
-    ///
-    /// # Panics
-    ///
-    /// On a coordinator server, which has no local engine — use
-    /// [`ServerHandle::backend`].
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        match &self.shared.backend {
-            Backend::Local(e) => e,
-            Backend::Fleet(_) => panic!("coordinator server has no local engine"),
-        }
-    }
-
-    /// The backend (engine or coordinator), for in-process inspection.
-    #[must_use]
-    pub fn backend(&self) -> &Backend {
-        &self.shared.backend
+        &self.shared.engine
     }
 
     /// Whether a shutdown (wire or in-process) has been requested.
@@ -351,10 +226,11 @@ impl ServerHandle {
         self.finish();
     }
 
-    /// In-process equivalent of the wire `Shutdown{drain}` request: stop
-    /// accepting, finish handlers, drain and commit in-flight jobs.
+    /// In-process equivalent of the wire `Shutdown{drain: true}` request:
+    /// release fleet agents, stop accepting, finish handlers, drain and
+    /// commit in-flight jobs.
     pub fn shutdown(mut self) {
-        request_shutdown(&self.shared, self.addr);
+        shut_down(&self.shared, self.addr, true);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -367,15 +243,24 @@ impl ServerHandle {
             let _ = h.join();
         }
         let drain = self.shared.drain_on_shutdown.load(Ordering::SeqCst);
-        self.shared.backend.shutdown(drain);
+        self.shared.engine.stop(drain);
     }
 }
 
-/// Flags shutdown and unblocks the acceptor's blocking `accept` with a
-/// throwaway self-connection.
-fn request_shutdown(shared: &Shared, addr: SocketAddr) {
+/// Starts a shutdown, wire-driven or in-process: drains the engine, then
+/// flags shutdown and unblocks the acceptor's blocking `accept` with a
+/// throwaway self-connection. A draining coordinator first keeps the
+/// listener up until every registered agent has polled a
+/// `NoWork{draining}` (or lapsed): agents dial per request, so closing the
+/// listener first would strand them spinning out their give-up window.
+/// Only the calling thread blocks; polls keep being served.
+fn shut_down(shared: &Shared, addr: SocketAddr, drain: bool) {
+    shared.drain_on_shutdown.store(drain, Ordering::SeqCst);
+    shared.engine.drain();
+    if drain {
+        shared.engine.wait_agents_released();
+    }
     shared.shutdown.store(true, Ordering::SeqCst);
-    shared.backend.drain();
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
 }
 
@@ -490,7 +375,24 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 /// Serves one request; returns `true` when the connection must close
 /// (shutdown acknowledged).
 fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
-    let engine = &shared.backend;
+    let engine = &shared.engine;
+    let fleet_frame = match &req {
+        Request::Register { .. }
+        | Request::Beacon { .. }
+        | Request::PollJob { .. }
+        | Request::PushResult { .. } => true,
+        // daemon 0 is a local observer: its flushes go straight into the
+        // aggregate on any server.
+        Request::PushDelta { daemon, .. } => *daemon != 0,
+        _ => false,
+    };
+    if fleet_frame && !engine.is_coordinator() {
+        let refused = Response::Error {
+            code: ErrorCode::BadRequest,
+            message: "not a coordinator".to_owned(),
+        };
+        return write_response(stream, &refused).is_err();
+    }
     match req {
         Request::Submit { spec, req_id } => {
             // Load shedding: past the watermark, refuse new work with a
@@ -552,61 +454,37 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             let mut stats: ServerStats = engine.stats();
             stats.connections = shared.active_conns.load(Ordering::SeqCst) as u32;
             stats.shed = shared.shed.load(Ordering::Relaxed);
-            let view = shared.live.view();
+            let view = engine.live().view();
             stats.deltas = view.total_flushes();
             stats.streamed = view.benches.len() as u32;
             write_response(stream, &Response::Stats(stats)).is_err()
         }
         Request::Shutdown { drain } => {
             let _ = write_response(stream, &Response::ShuttingDown { drain });
-            shared.drain_on_shutdown.store(drain, Ordering::SeqCst);
             let addr = stream
                 .local_addr()
                 .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0)));
-            // A draining coordinator keeps the listener up until every
-            // registered agent has polled a `NoWork{draining}` (or
-            // lapsed): agents dial per request, so closing the listener
-            // first would strand them spinning out their give-up window.
-            // Only this handler thread blocks; polls keep being served.
-            if drain {
-                if let Backend::Fleet(c) = &shared.backend {
-                    c.drain();
-                    c.wait_agents_released();
-                }
-            }
-            request_shutdown(shared, addr);
+            shut_down(shared, addr, drain);
             true
         }
-        Request::Register { name, workers } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => {
-                    let (daemon, lease_ms) = c.register(&name, workers);
-                    Response::Registered { daemon, lease_ms }
-                }
-            };
-            write_response(stream, &resp).is_err()
+        Request::Register { workers, .. } => {
+            let (daemon, lease_ms) = engine.register(workers);
+            write_response(stream, &Response::Registered { daemon, lease_ms }).is_err()
         }
         Request::Beacon { daemon } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => match c.beacon(daemon) {
-                    Ok(tasks) => Response::BeaconAck { tasks },
-                    Err(_) => unknown_daemon(daemon),
-                },
+            let resp = match engine.beacon(daemon) {
+                Ok(tasks) => Response::BeaconAck { tasks },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
         Request::PollJob { daemon } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => match c.poll_job(daemon) {
-                    Ok(PollReply::Assignment { task, epoch, spec }) => {
-                        Response::Assignment { task, epoch, spec }
-                    }
-                    Ok(PollReply::NoWork { draining }) => Response::NoWork { draining },
-                    Err(_) => unknown_daemon(daemon),
-                },
+            let resp = match engine.poll_job(daemon) {
+                Ok(PollReply::Assignment { task, epoch, spec }) => {
+                    Response::Assignment { task, epoch, spec }
+                }
+                Ok(PollReply::NoWork { draining }) => Response::NoWork { draining },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
@@ -616,31 +494,23 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             epoch,
             outcome,
         } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => match c.push_result(daemon, task, epoch, outcome) {
-                    Ok(accepted) => Response::ResultAck { accepted },
-                    Err(_) => unknown_daemon(daemon),
-                },
+            let resp = match engine.push_result(daemon, task, epoch, outcome) {
+                Ok(accepted) => Response::ResultAck { accepted },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
         Request::PushDelta { daemon, frame } => {
-            // daemon 0 is a local observer: its flushes go straight into
-            // the aggregate. A fleet daemon's flushes pass through the
-            // coordinator, which validates liveness and that the daemon
-            // still holds the benchmark's assignment — a resurrected
-            // daemon's stale stream must not pollute the fresh slot.
+            // A fleet daemon's flushes are fenced: the daemon must still
+            // hold the benchmark's assignment, so a resurrected daemon's
+            // stale stream cannot pollute the fresh slot.
             let resp = if daemon == 0 {
-                shared.live.ingest(&frame.into_event());
+                engine.live().ingest(&frame.into_event());
                 Response::DeltaAck { accepted: true }
             } else {
-                match fleet(engine) {
-                    Err(resp) => *resp,
-                    Ok(c) => match c.accept_delta(daemon, &frame.into_event()) {
-                        Ok(accepted) => Response::DeltaAck { accepted },
-                        Err(_) => unknown_daemon(daemon),
-                    },
+                match engine.accept_delta(daemon, &frame.into_event()) {
+                    Ok(accepted) => Response::DeltaAck { accepted },
+                    Err(_) => unknown_daemon(daemon),
                 }
             };
             write_response(stream, &resp).is_err()
@@ -668,7 +538,7 @@ fn answer_query(
     profiler: Option<ProfilerId>,
     n: u32,
 ) -> Vec<QueryRow> {
-    let view = shared.live.view();
+    let view = shared.engine.live().view();
     let mut rows = Vec::new();
     for b in view
         .benches
@@ -733,9 +603,9 @@ fn answer_query(
     rows
 }
 
-/// Resolves symbol ids to display names via the backend, caching the full
+/// Resolves symbol ids to display names via the engine, caching the full
 /// name table per benchmark. Unresolvable symbols (or a benchmark the
-/// backend no longer knows) fall back to `sym<N>` without caching, so a
+/// engine does not know yet) fall back to `sym<N>` without caching, so a
 /// later resolution can still land.
 fn symbol_labels(
     shared: &Shared,
@@ -748,7 +618,7 @@ fn symbol_labels(
     let mut cache = shared.labels.lock().expect("label cache");
     if !cache.contains_key(bench) {
         let all: Vec<u32> = (0..num_symbols).collect();
-        match shared.backend.symbol_names(bench, g, &all) {
+        match shared.engine.symbol_names(bench, g, &all) {
             Some(names) => {
                 cache.insert(bench.to_owned(), names);
             }
@@ -766,18 +636,6 @@ fn symbol_labels(
         .collect()
 }
 
-/// The coordinator behind a fleet request, or the typed refusal a plain
-/// daemon answers with (boxed: the Ok path is the hot one).
-fn fleet(backend: &Backend) -> Result<&Coordinator, Box<Response>> {
-    match backend {
-        Backend::Fleet(c) => Ok(c),
-        Backend::Local(_) => Err(Box::new(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "not a coordinator".to_owned(),
-        })),
-    }
-}
-
 fn unknown_daemon(daemon: u64) -> Response {
     Response::Error {
         code: ErrorCode::UnknownDaemon,
@@ -793,7 +651,7 @@ fn unknown_daemon(daemon: u64) -> Response {
 /// `Watch{from_seq: last_seen + 1}` and resumes without gaps or
 /// duplicates.
 fn watch(stream: &mut TcpStream, shared: &Shared, job: u64, from_seq: u64) -> bool {
-    let engine = &shared.backend;
+    let engine = &shared.engine;
     let bench = engine.bench_of(job);
     let mut next_seq = from_seq;
     loop {
@@ -804,7 +662,7 @@ fn watch(stream: &mut TcpStream, shared: &Shared, job: u64, from_seq: u64) -> bo
         // batch: watchers see the live view advance between state changes.
         let cycles = bench
             .as_deref()
-            .and_then(|name| shared.live.view().bench(name).map(|b| b.cycles))
+            .and_then(|name| engine.live().view().bench(name).map(|b| b.cycles))
             .unwrap_or(0);
         let mut last = None;
         for (seq, state) in batch {
@@ -845,3 +703,89 @@ const _: () = {
     send::<JobState>();
     sync::<Shared>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::fleet::{run_agent, AgentConfig};
+    use crate::proto::{read_response, write_request, JobSpec};
+    use std::sync::mpsc;
+    use tip_workloads::SuiteScale;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tip-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    /// A daemon with local workers is no coordinator: fleet frames get a
+    /// typed `BadRequest`, and no daemon is ever counted.
+    #[test]
+    fn a_plain_daemon_refuses_fleet_frames() {
+        let dir = tmp_dir("plain");
+        let handle = serve(&ServerConfig::new(dir.clone())).expect("bind");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        for req in [
+            Request::Register {
+                name: "agent".to_owned(),
+                workers: 1,
+            },
+            Request::Beacon { daemon: 1 },
+            Request::PollJob { daemon: 1 },
+        ] {
+            write_request(&mut stream, &req).expect("write");
+            let resp = read_response(&mut stream).expect("read");
+            assert!(
+                matches!(
+                    resp,
+                    Some(Response::Error {
+                        code: ErrorCode::BadRequest,
+                        ..
+                    })
+                ),
+                "{req:?} answered {resp:?}"
+            );
+        }
+        assert_eq!(handle.engine().stats().daemons, 0);
+        drop(stream);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An in-process shutdown tells a coordinator's agents to exit, as a
+    /// wire `Shutdown{drain: true}` does, instead of closing the listener
+    /// on them.
+    #[test]
+    fn in_process_shutdown_releases_fleet_agents() {
+        let dir = tmp_dir("agents");
+        let mut config = ServerConfig::new(dir.clone());
+        config.coordinator = true;
+        let handle = serve(&config).expect("bind");
+        let addr = handle.addr().to_string();
+        let (done_tx, done_rx) = mpsc::channel();
+        let agent = {
+            let mut agent = AgentConfig::new(addr.clone());
+            agent.give_up_after = Duration::from_secs(30);
+            thread::spawn(move || {
+                let _ = done_tx.send(run_agent(&agent).is_ok());
+            })
+        };
+        let client = Client::new(&addr);
+        let job = client
+            .submit(&JobSpec::new("mcf", SuiteScale::Test))
+            .expect("submit");
+        let state = client.watch(job, |_| {}).expect("watch");
+        assert!(
+            matches!(state, JobState::Done { ok: true, .. }),
+            "{state:?}"
+        );
+
+        handle.shutdown();
+        let released = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(released, Ok(true), "the agent exits clean within 10 s");
+        agent.join().expect("agent thread");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
