@@ -200,17 +200,21 @@ pub struct BankDeltas {
 }
 
 impl ProfilerBank {
-    /// Reference (pre-split) observation path: polls the schedule on every
-    /// cycle and drives each profiler through the two-argument `observe`
-    /// shim. Semantically identical to the [`TraceSink::on_cycle`] fast
-    /// path — the `fast_path_matches_reference_fanout` proptest holds the
-    /// two bit-equal on arbitrary programs and sampler configs.
+    /// Reference observation path: polls the schedule on every cycle and
+    /// sends each profiler the cycle through `on_sample` or `latch`.
+    /// Semantically identical to the [`TraceSink::on_cycle`] fast path —
+    /// the `fast_path_matches_reference_fanout` proptest holds the two
+    /// bit-equal on arbitrary programs and sampler configs.
     pub fn on_cycle_reference(&mut self, record: &CycleRecord) {
         self.cycles += 1;
         let sampled = self.schedule.is_sample(record.cycle);
         self.oracle.on_cycle(record);
         for (_, p) in &mut self.profilers {
-            p.observe(record, sampled);
+            if sampled {
+                p.on_sample(record);
+            } else {
+                p.latch(record);
+            }
         }
     }
 }

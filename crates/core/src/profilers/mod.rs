@@ -44,18 +44,6 @@ pub trait SampledProfiler: Send {
     /// `on_sample`, never both.
     fn on_sample(&mut self, record: &CycleRecord);
 
-    /// Observes one cycle; `sampled` marks sample cycles. Compatibility
-    /// shim over the [`latch`](Self::latch) / [`on_sample`](Self::on_sample)
-    /// split — also the reference semantics the
-    /// [`crate::ProfilerBank`] fast path is equivalence-tested against.
-    fn observe(&mut self, record: &CycleRecord, sampled: bool) {
-        if sampled {
-            self.on_sample(record);
-        } else {
-            self.latch(record);
-        }
-    }
-
     /// Takes the samples resolved so far (in trigger order).
     fn drain_samples(&mut self) -> Vec<Sample>;
 
@@ -316,7 +304,7 @@ mod tests {
             .chain([ProfilerId::TipLastCommitDrain])
         {
             let mut p = id.build();
-            p.observe(&CycleRecord::empty(0), false);
+            p.latch(&CycleRecord::empty(0));
             assert!(p.drain_samples().is_empty());
         }
     }

@@ -407,9 +407,9 @@ mod tests {
     #[test]
     fn nci_waits_for_next_commit() {
         let mut nci = Nci::new(false);
-        nci.observe(&CycleRecord::empty(0), true); // sample on an idle cycle
+        nci.on_sample(&CycleRecord::empty(0)); // sample on an idle cycle
         assert!(nci.drain_samples().is_empty());
-        nci.observe(&commit(1, &[7, 8]), false);
+        nci.latch(&commit(1, &[7, 8]));
         let s = nci.drain_samples();
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].cycle, 0);
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn nci_same_cycle_commit_resolves_immediately() {
         let mut nci = Nci::new(false);
-        nci.observe(&commit(5, &[3]), true);
+        nci.on_sample(&commit(5, &[3]));
         let s = nci.drain_samples();
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].targets, vec![(InstrIdx::new(3), 1.0)]);
@@ -441,8 +441,8 @@ mod tests {
         hostile.n_committed = 200;
         for ilp in [false, true] {
             let mut nci = Nci::new(ilp);
-            nci.observe(&CycleRecord::empty(0), true);
-            nci.observe(&hostile, false);
+            nci.on_sample(&CycleRecord::empty(0));
+            nci.latch(&hostile);
             let _ = nci.drain_samples(); // no panic is the assertion
         }
     }
@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn nci_ilp_splits_across_committers() {
         let mut nci = Nci::new(true);
-        nci.observe(&commit(5, &[3, 4]), true);
+        nci.on_sample(&commit(5, &[3, 4]));
         let s = nci.drain_samples();
         assert_eq!(
             s[0].targets,
@@ -461,8 +461,8 @@ mod tests {
     #[test]
     fn lci_samples_last_committed() {
         let mut lci = Lci::new();
-        lci.observe(&commit(0, &[1, 2]), false);
-        lci.observe(&CycleRecord::empty(1), true); // stall-ish cycle
+        lci.latch(&commit(0, &[1, 2]));
+        lci.on_sample(&CycleRecord::empty(1)); // stall-ish cycle
         let s = lci.drain_samples();
         assert_eq!(
             s[0].targets,
@@ -474,9 +474,9 @@ mod tests {
     #[test]
     fn lci_cold_start_defers_to_first_commit() {
         let mut lci = Lci::new();
-        lci.observe(&CycleRecord::empty(0), true);
+        lci.on_sample(&CycleRecord::empty(0));
         assert!(lci.drain_samples().is_empty());
-        lci.observe(&commit(1, &[4]), false);
+        lci.latch(&commit(1, &[4]));
         let s = lci.drain_samples();
         assert_eq!(s[0].targets, vec![(InstrIdx::new(4), 1.0)]);
     }
@@ -486,14 +486,14 @@ mod tests {
         let mut d = Dispatch::new();
         let mut r = CycleRecord::empty(0);
         r.next_to_dispatch = Some((InstrAddr::new(0x1028), InstrIdx::new(10), false));
-        d.observe(&r, true);
+        d.on_sample(&r);
         assert!(
             d.drain_samples().is_empty(),
             "sample waits for the tagged commit"
         );
-        d.observe(&commit(7, &[9]), false); // some other instruction
+        d.latch(&commit(7, &[9])); // some other instruction
         assert!(d.drain_samples().is_empty());
-        d.observe(&commit(9, &[10]), false); // the tagged one commits
+        d.latch(&commit(9, &[10])); // the tagged one commits
         let s = d.drain_samples();
         assert_eq!(s[0].cycle, 0, "sample keeps its trigger cycle");
         assert_eq!(s[0].targets, vec![(InstrIdx::new(10), 1.0)]);
@@ -505,12 +505,12 @@ mod tests {
         let mut d = Dispatch::new();
         let mut r = CycleRecord::empty(0);
         r.next_to_dispatch = Some((InstrAddr::new(0x1028), InstrIdx::new(10), true));
-        d.observe(&r, true);
+        d.on_sample(&r);
         assert!(d.drain_samples().is_empty(), "wrong-path tag is discarded");
         let mut r2 = CycleRecord::empty(1);
         r2.next_to_dispatch = Some((InstrAddr::new(0x102c), InstrIdx::new(11), false));
-        d.observe(&r2, false);
-        d.observe(&commit(4, &[11]), false);
+        d.latch(&r2);
+        d.latch(&commit(4, &[11]));
         let s = d.drain_samples();
         assert_eq!(s[0].cycle, 0);
         assert_eq!(s[0].targets, vec![(InstrIdx::new(11), 1.0)]);
@@ -521,7 +521,7 @@ mod tests {
         let mut sw = Software::new();
         let mut r = CycleRecord::empty(0);
         r.next_to_fetch = Some((InstrAddr::new(0x1100), InstrIdx::new(64)));
-        sw.observe(&r, true);
+        sw.on_sample(&r);
         let s = sw.drain_samples();
         assert_eq!(s[0].targets, vec![(InstrIdx::new(64), 1.0)]);
     }
@@ -529,9 +529,9 @@ mod tests {
     #[test]
     fn pending_samples_resolve_in_order() {
         let mut nci = Nci::new(false);
-        nci.observe(&CycleRecord::empty(0), true);
-        nci.observe(&CycleRecord::empty(1), true);
-        nci.observe(&commit(2, &[9]), false);
+        nci.on_sample(&CycleRecord::empty(0));
+        nci.on_sample(&CycleRecord::empty(1));
+        nci.latch(&commit(2, &[9]));
         let s = nci.drain_samples();
         assert_eq!(s.len(), 2);
         assert_eq!((s[0].cycle, s[1].cycle), (0, 1));

@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn computing_sample_splits_across_commits() {
         let mut tip = Tip::new(true);
-        tip.observe(&commit(0, &[1, 2], false, false), true);
+        tip.on_sample(&commit(0, &[1, 2], false, false));
         let s = tip.drain_samples();
         assert_eq!(
             s[0].targets,
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn tip_ilp_picks_single_instruction() {
         let mut tip = Tip::new(false);
-        tip.observe(&commit(0, &[1, 2], false, false), true);
+        tip.on_sample(&commit(0, &[1, 2], false, false));
         let s = tip.drain_samples();
         assert_eq!(s[0].targets, vec![(InstrIdx::new(1), 1.0)]);
     }
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn stalled_sample_goes_to_oldest_with_stall_category() {
         let mut tip = Tip::new(true);
-        tip.observe(&stalled(3, 7, InstrKind::Load), true);
+        tip.on_sample(&stalled(3, 7, InstrKind::Load));
         let s = tip.drain_samples();
         assert_eq!(s[0].targets, vec![(InstrIdx::new(7), 1.0)]);
         assert_eq!(s[0].category, Some(CycleCategory::LoadStall));
@@ -480,8 +480,8 @@ mod tests {
     fn flushed_sample_uses_oir() {
         let mut tip = Tip::new(true);
         // A mispredicted branch commits, then the ROB is empty.
-        tip.observe(&commit(0, &[5], true, false), false);
-        tip.observe(&CycleRecord::empty(1), true);
+        tip.latch(&commit(0, &[5], true, false));
+        tip.on_sample(&CycleRecord::empty(1));
         let s = tip.drain_samples();
         assert_eq!(s[0].targets, vec![(InstrIdx::new(5), 1.0)]);
         assert_eq!(s[0].category, Some(CycleCategory::Mispredict));
@@ -490,8 +490,8 @@ mod tests {
     #[test]
     fn csr_flush_sample_is_misc_flush() {
         let mut tip = Tip::new(true);
-        tip.observe(&commit(0, &[5], false, true), false);
-        tip.observe(&CycleRecord::empty(1), true);
+        tip.latch(&commit(0, &[5], false, true));
+        tip.on_sample(&CycleRecord::empty(1));
         let s = tip.drain_samples();
         assert_eq!(s[0].category, Some(CycleCategory::MiscFlush));
         assert_eq!(s[0].targets, vec![(InstrIdx::new(5), 1.0)]);
@@ -500,10 +500,10 @@ mod tests {
     #[test]
     fn exception_sample_targets_excepting_instruction() {
         let mut tip = Tip::new(true);
-        tip.observe(&commit(0, &[1], false, false), false);
+        tip.latch(&commit(0, &[1], false, false));
         let mut r = CycleRecord::empty(1);
         r.exception = Some((InstrAddr::new(0x2000), InstrIdx::new(9)));
-        tip.observe(&r, true);
+        tip.on_sample(&r);
         let s = tip.drain_samples();
         assert_eq!(s[0].targets, vec![(InstrIdx::new(9), 1.0)]);
         assert_eq!(s[0].category, Some(CycleCategory::MiscFlush));
@@ -512,11 +512,11 @@ mod tests {
     #[test]
     fn drained_sample_waits_for_first_dispatch() {
         let mut tip = Tip::new(true);
-        tip.observe(&commit(0, &[1], false, false), false);
-        tip.observe(&CycleRecord::empty(1), true); // drained sample, open
+        tip.latch(&commit(0, &[1], false, false));
+        tip.on_sample(&CycleRecord::empty(1)); // drained sample, open
         assert!(tip.drain_samples().is_empty());
-        tip.observe(&CycleRecord::empty(2), false);
-        tip.observe(&stalled(3, 12, InstrKind::IntAlu), false); // refill
+        tip.latch(&CycleRecord::empty(2));
+        tip.latch(&stalled(3, 12, InstrKind::IntAlu)); // refill
         let s = tip.drain_samples();
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].cycle, 1, "sample keeps its trigger cycle");
@@ -527,8 +527,8 @@ mod tests {
     #[test]
     fn drained_ablation_blames_last_commit() {
         let mut tip = Tip::new(true).with_drained_policy(DrainedPolicy::LastCommitted);
-        tip.observe(&commit(0, &[3], false, false), false);
-        tip.observe(&CycleRecord::empty(1), true); // drained
+        tip.latch(&commit(0, &[3], false, false));
+        tip.on_sample(&CycleRecord::empty(1)); // drained
         let s = tip.drain_samples();
         assert_eq!(s.len(), 1, "ablation resolves immediately");
         assert_eq!(

@@ -374,10 +374,9 @@ impl Client {
         self.watch_live(job, |state, _cycles| on_progress(state))
     }
 
-    /// [`Client::watch`] with the v4 live cycle count: `on_progress` also
+    /// [`Client::watch`] with the live cycle count: `on_progress` also
     /// receives the simulated cycles the job's benchmark had streamed when
-    /// the frame was sent (0 from pre-v4 servers, or before the first
-    /// delta flush lands).
+    /// the frame was sent (0 before the first delta flush lands).
     ///
     /// # Errors
     ///
@@ -481,11 +480,8 @@ impl Client {
     ///
     /// [`ClientError`]; notably `BadRequest` from a server that is not a
     /// coordinator.
-    pub fn register(&self, name: &str, workers: u32) -> Result<(u64, u64), ClientError> {
-        match self.call(&Request::Register {
-            name: name.to_owned(),
-            workers,
-        })? {
+    pub fn register(&self, workers: u32) -> Result<(u64, u64), ClientError> {
+        match self.call(&Request::Register { workers })? {
             Response::Registered { daemon, lease_ms } => Ok((daemon, lease_ms)),
             other => Err(unexpected(&other)),
         }
@@ -548,11 +544,11 @@ impl Client {
         }
     }
 
-    /// Streams one profile-delta flush into the server's live aggregate;
-    /// `Ok(false)` means the server discarded it (e.g. the pushing daemon
-    /// no longer holds the benchmark's assignment). Best-effort by
-    /// contract: callers may drop errors — deltas carry live visibility,
-    /// never correctness.
+    /// Streams one fleet daemon's profile-delta flush into the
+    /// coordinator's live aggregate; `Ok(false)` means the coordinator
+    /// discarded it (the daemon no longer holds the benchmark's
+    /// assignment). Best-effort by contract: callers may drop errors —
+    /// deltas carry live visibility, never correctness.
     ///
     /// # Errors
     ///

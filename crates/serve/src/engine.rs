@@ -89,10 +89,6 @@ pub struct EngineConfig {
     /// Job lease: a claimed job whose holder neither finishes nor
     /// heartbeats within this window is reassigned.
     pub lease: Duration,
-    /// Live streaming aggregate the holders' profile deltas land in;
-    /// `None` creates a private one. Streaming is observational either
-    /// way — artifacts are byte-identical with any choice here.
-    pub live: Option<Arc<LiveAggregate>>,
 }
 
 impl EngineConfig {
@@ -105,7 +101,6 @@ impl EngineConfig {
             workers: 1,
             resume: false,
             lease: DEFAULT_LEASE,
-            live: None,
         }
     }
 }
@@ -506,7 +501,7 @@ impl Engine {
             lease: config.lease.max(Duration::from_millis(1)),
             started: Instant::now(),
             out_dir: config.out_dir.clone(),
-            live: config.live.clone().unwrap_or_default(),
+            live: Arc::default(),
         });
         let mut threads = Vec::with_capacity(config.workers + 2);
         for worker in 0..config.workers {
@@ -732,8 +727,7 @@ impl Engine {
         }
     }
 
-    /// The engine's live streaming aggregate (the one `config.live` named,
-    /// or the engine's private one).
+    /// The engine's live streaming aggregate.
     #[must_use]
     pub fn live(&self) -> Arc<LiveAggregate> {
         Arc::clone(&self.inner.live)
@@ -1174,7 +1168,6 @@ mod tests {
             workers: 0,
             resume,
             lease,
-            live: None,
         })
     }
 
@@ -1452,20 +1445,19 @@ mod tests {
     }
 
     /// Shutdown joins every thread, and nothing the engine started may keep
-    /// the caller's live aggregate alive afterwards.
+    /// its live aggregate alive afterwards.
     #[test]
     fn shutdown_releases_the_live_aggregate() {
         for workers in [1, 0] {
             let dir = fresh_dir(&format!("release-{workers}"));
-            let live = Arc::new(LiveAggregate::new());
             let config = EngineConfig {
                 out_dir: dir.clone(),
                 workers,
                 resume: false,
                 lease: Duration::from_secs(30),
-                live: Some(Arc::clone(&live)),
             };
             let engine = Engine::start(&config);
+            let live = engine.live();
             if workers > 0 {
                 let job = engine.submit(&spec("mcf")).expect("submit");
                 wait_until("job", || {
@@ -1476,7 +1468,6 @@ mod tests {
             }
             engine.shutdown();
             drop(engine);
-            drop(config);
             assert_eq!(Arc::strong_count(&live), 1, "{workers} local workers");
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -53,7 +53,8 @@ pub const DEFAULT_FLEET_LEASE: Duration = Duration::from_secs(10);
 pub struct AgentConfig {
     /// Coordinator address (`host:port`).
     pub coordinator: String,
-    /// Self-reported name (host:port or free text) sent with `Register`.
+    /// Self-reported name (host:port or free text) for the agent's own
+    /// log lines.
     pub name: String,
     /// Worker threads pulling assignments.
     pub workers: usize,
@@ -87,7 +88,6 @@ struct Session {
     /// Last successful call, for the give-up window.
     last_ok: Mutex<Instant>,
     registration: Mutex<()>,
-    name: String,
     workers: u32,
 }
 
@@ -107,7 +107,7 @@ impl Session {
         if self.daemon.load(Ordering::SeqCst) != stale_id {
             return Ok(()); // Another thread already re-registered.
         }
-        let (daemon, lease_ms) = self.client.register(&self.name, self.workers)?;
+        let (daemon, lease_ms) = self.client.register(self.workers)?;
         self.lease_ms.store(lease_ms.max(1), Ordering::SeqCst);
         self.daemon.store(daemon, Ordering::SeqCst);
         self.mark_ok();
@@ -136,7 +136,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<(), ClientError> {
     let client = Client::new(&config.coordinator);
     #[allow(clippy::cast_possible_truncation)]
     let workers = config.workers.max(1) as u32;
-    let (daemon, lease_ms) = client.register(&config.name, workers)?;
+    let (daemon, lease_ms) = client.register(workers)?;
     let session = Arc::new(Session {
         client,
         daemon: AtomicU64::new(daemon),
@@ -144,7 +144,6 @@ pub fn run_agent(config: &AgentConfig) -> Result<(), ClientError> {
         done: AtomicBool::new(false),
         last_ok: Mutex::new(Instant::now()),
         registration: Mutex::new(()),
-        name: config.name.clone(),
         workers,
     });
     let give_up = config.give_up_after;

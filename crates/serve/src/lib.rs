@@ -35,13 +35,13 @@
 //!   The harness that proves the other three layers' fault story — on the
 //!   client↔daemon hop and the coordinator↔daemon hop alike.
 //! * [`fleet`] — the agent that `tipd --join` runs: it registers with a
-//!   coordinator over TIPW v3 frames (register/beacon/poll/push), runs its
-//!   assignments, and pushes the rendered results back — the engine's
+//!   coordinator over TIPW fleet frames (register/beacon/poll/push), runs
+//!   its assignments, and pushes the rendered results back — the engine's
 //!   remote holder.
 //!
-//! Since TIPW v4 the service also *streams*: engine workers and fleet
-//! agents flush quantized [`tip_bench::live`] profile deltas
-//! (`PushDelta` frames) into a server-side [`tip_bench::LiveAggregate`],
+//! The service also *streams*: engine workers (in-process) and fleet
+//! agents (`PushDelta` frames) flush quantized [`tip_bench::live`]
+//! profile deltas into a server-side [`tip_bench::LiveAggregate`],
 //! and `Query{TopN, ErrorTrajectory, CycleStack}` frames answer live
 //! questions mid-campaign (`tipctl top --live`, `tipctl watch`).
 //! Streaming is pure observation — final artifacts stay byte-identical

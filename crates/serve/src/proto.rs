@@ -15,7 +15,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   "TIPW"
-//! 4       2     version (little-endian, currently 1)
+//! 4       2     version (little-endian, must equal VERSION)
 //! 6       2     kind    (request/response discriminant)
 //! 8       4     payload length in bytes (1 ..= MAX_PAYLOAD)
 //! 12      4     CRC-32 over bytes 0..12 ++ payload
@@ -30,39 +30,12 @@
 //!
 //! # Versioning
 //!
-//! Version 2 (fault-tolerance) extends version 1 by *appending* fields to
-//! existing payloads — `Submit` gains a request id for idempotent
-//! resubmission, `Watch` gains `from_seq` for stream resumption, and
-//! `Progress` gains a sequence number, and `Stats` gains reassignment and
-//! load-shed counters — plus the new
-//! [`Response::Overloaded`] frame kind.
-//!
-//! Version 3 (fleet coordination) follows the same discipline: the fleet
-//! frames ([`Request::Register`], [`Request::Beacon`],
-//! [`Request::PollJob`], [`Request::PushResult`] and their responses) are
-//! *new* kinds, and the only change to an existing payload is appending the
-//! `daemons`/`stale` counters to `Stats`. A v3 decoder accepts v1/v2 frames
-//! by defaulting the absent tail fields to zero ([`read_frame`] accepts any
-//! version in [`MIN_VERSION`]`..=`[`VERSION`]); encoders always emit v3.
-//!
-//! Version 4 (streaming aggregation) keeps the same discipline once more:
-//! [`Request::PushDelta`] carries a [`DeltaFrame`] of quantized profile
-//! increments from a running job, [`Request::Query`] asks the live
-//! aggregate a question ([`QueryKind::TopN`], [`QueryKind::ErrorTrajectory`],
-//! [`QueryKind::CycleStack`]), and [`Response::QueryReply`] /
-//! [`Response::DeltaAck`] answer them — all *new* kinds. The only changes
-//! to existing payloads are appended tail fields: `Progress` gains the live
-//! cycle count of the job's benchmark, and `Stats` gains the
-//! `deltas`/`streamed` counters. Deltas are signed; the wire carries `i64`
-//! as its two's-complement `u64` bits, which round-trips exactly.
-//!
-//! Version 5 (profile-guided optimization) appends exactly one tail byte
-//! to two existing payloads and nothing else: `Submit` and `Assignment`
-//! gain the spec's [`JobSpec::pgo`] flag *after* their existing fields
-//! (after `req_id`, and after the spec, respectively — the flag cannot
-//! live inside the spec encoding itself, because the spec is followed by
-//! tail-defaulted fields whose decode would consume it). Absent means
-//! `false`, so pre-v5 frames decode as plain profiled runs.
+//! TIPW has a single version, [`VERSION`]. Every peer — `tipd`, `tipctl`,
+//! fleet agents — is built from this tree, so every payload field is
+//! required, and [`read_frame`] refuses any other version with
+//! [`TraceError::UnsupportedVersion`]. A change to any payload layout
+//! bumps [`VERSION`], so a frame from an older build fails loudly instead
+//! of mis-decoding.
 
 use std::io::{self, Read, Write};
 
@@ -77,11 +50,8 @@ use tip_workloads::SuiteScale;
 
 /// Stream magic: a framed TIPW protocol exchange.
 pub const MAGIC: [u8; 4] = *b"TIPW";
-/// Protocol version this build emits.
-pub const VERSION: u16 = 5;
-/// Oldest protocol version this build still decodes (v2/v3 only append
-/// fields, so older frames decode with the tail fields defaulted).
-pub const MIN_VERSION: u16 = 1;
+/// The protocol version: the only one this build emits or accepts.
+pub const VERSION: u16 = 6;
 /// Frame header length: magic + version + kind + payload length + CRC.
 pub const FRAME_HEADER_LEN: usize = 16;
 /// Request-size cap: the largest payload a peer may declare. Far above any
@@ -111,9 +81,7 @@ pub struct JobSpec {
     pub max_attempts: u32,
     /// Run the profile-guided-optimization loop instead of a plain
     /// profiled run (see [`tip_bench::pgo`]); the result file then reports
-    /// the TIP-optimized program's run in the ordinary ledger format. A v5
-    /// tail field carried by the containing `Submit`/`Assignment` frames,
-    /// not the spec encoding itself.
+    /// the TIP-optimized program's run in the ordinary ledger format.
     pub pgo: bool,
 }
 
@@ -198,16 +166,15 @@ pub struct ServerStats {
     /// (filled in by the server layer).
     pub shed: u32,
     /// Daemons currently registered with the fleet coordinator (0 on a
-    /// plain daemon; a v3 tail field).
+    /// plain daemon).
     pub daemons: u32,
     /// Results discarded because they arrived under a stale assignment
     /// epoch — a resurrected daemon pushing work that was already
-    /// reassigned (a v3 tail field).
+    /// reassigned.
     pub stale: u32,
-    /// Profile-delta flushes folded into the live aggregate so far (a v4
-    /// tail field).
+    /// Profile-delta flushes folded into the live aggregate so far.
     pub deltas: u64,
-    /// Benchmarks with live streamed state (a v4 tail field).
+    /// Benchmarks with live streamed state.
     pub streamed: u32,
 }
 
@@ -437,7 +404,7 @@ impl ErrorCode {
         }
     }
 
-    fn from_code(c: u8) -> Result<Self, TraceError> {
+    fn from_code(c: u8) -> Result<Self, SnapError> {
         Ok(match c {
             0 => ErrorCode::BadRequest,
             1 => ErrorCode::UnknownBench,
@@ -448,7 +415,7 @@ impl ErrorCode {
             6 => ErrorCode::Internal,
             7 => ErrorCode::RateLimited,
             8 => ErrorCode::UnknownDaemon,
-            _ => return Err(TraceError::Malformed("unknown error code")),
+            _ => return Err(SnapError::Malformed("unknown error code")),
         })
     }
 }
@@ -501,8 +468,6 @@ pub enum Request {
     /// A fleet daemon announces itself to the coordinator; answered with
     /// `Registered` carrying its daemon id and lease duration.
     Register {
-        /// Human-readable daemon name (host, port — for logs and metrics).
-        name: String,
         /// Worker threads the daemon runs, so the coordinator can size its
         /// fan-out.
         workers: u32,
@@ -536,13 +501,12 @@ pub enum Request {
         /// The rendered result and host metrics.
         outcome: RemoteOutcome,
     },
-    /// A running worker streams one profile-delta flush into the server's
-    /// live aggregate; answered with `DeltaAck`. Purely observational:
-    /// dropping these frames loses live visibility, never correctness.
+    /// A fleet daemon streams one profile-delta flush of a running
+    /// assignment into the coordinator's live aggregate; answered with
+    /// `DeltaAck`. Purely observational: dropping these frames loses live
+    /// visibility, never correctness.
     PushDelta {
-        /// The daemon id from `Registered` when a fleet agent pushes on
-        /// behalf of its assignment; `0` from the server's own workers or
-        /// other local observers.
+        /// The daemon id from `Registered`.
         daemon: u64,
         /// The flush.
         frame: DeltaFrame,
@@ -587,8 +551,7 @@ pub enum Response {
         /// `Watch{from_seq: seq + 1}`.
         seq: u64,
         /// Simulated cycles the job's benchmark has streamed so far (0
-        /// until the first delta lands, and from pre-v4 peers — a v4 tail
-        /// field).
+        /// until the first delta lands).
         cycles: u64,
     },
     /// Answer to `Result`: the bytes of the job's `<bench>.result` file.
@@ -726,7 +689,7 @@ const KIND_R_RESULT_ACK: u16 = 0x8F;
 const KIND_R_QUERY_REPLY: u16 = 0x90;
 const KIND_R_DELTA_ACK: u16 = 0x91;
 
-/// Wire code for "no profiler, meaning the Oracle" in v4 frames.
+/// Wire code for "no profiler, meaning the Oracle".
 const PROFILER_NONE: u8 = 255;
 
 fn put_opt_profiler(out: &mut Vec<u8>, p: Option<ProfilerId>) {
@@ -987,6 +950,7 @@ fn encode_spec(out: &mut Vec<u8>, spec: &JobSpec) {
         snap::put_u8(out, profiler_code(p));
     }
     snap::put_u32(out, spec.max_attempts);
+    snap::put_bool(out, spec.pgo);
 }
 
 fn decode_spec(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
@@ -1000,10 +964,6 @@ fn decode_spec(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
     for _ in 0..n {
         profilers.push(profiler_from_code(r.u8()?)?);
     }
-    let max_attempts = r.u32()?;
-    // `pgo` is a v5 tail field of the *containing* frame (Submit,
-    // Assignment), decoded there; the spec encoding itself is frozen so the
-    // tail-defaulted fields that follow it keep their positions.
     Ok(JobSpec {
         bench,
         scale,
@@ -1011,8 +971,8 @@ fn decode_spec(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
         core,
         sampler,
         profilers,
-        max_attempts,
-        pgo: false,
+        max_attempts: r.u32()?,
+        pgo: r.bool()?,
     })
 }
 
@@ -1051,7 +1011,6 @@ impl Request {
             Request::Submit { spec, req_id } => {
                 encode_spec(&mut out, spec);
                 snap::put_u64(&mut out, *req_id);
-                snap::put_bool(&mut out, spec.pgo);
                 KIND_SUBMIT
             }
             Request::Status { job } => {
@@ -1079,8 +1038,7 @@ impl Request {
                 snap::put_bool(&mut out, *drain);
                 KIND_SHUTDOWN
             }
-            Request::Register { name, workers } => {
-                put_string(&mut out, name);
+            Request::Register { workers } => {
                 snap::put_u32(&mut out, *workers);
                 KIND_REGISTER
             }
@@ -1133,64 +1091,46 @@ impl Request {
     /// overlong payload, or any field outside its domain. Never panics, on
     /// any input.
     pub fn decode(kind: u16, payload: &[u8]) -> Result<Self, TraceError> {
-        let mut r = SnapReader::new(payload);
-        let req = match kind {
-            KIND_SUBMIT => {
-                let mut spec = decode_spec(&mut r).map_err(snap_err)?;
-                let req_id = tail_u64(&mut r).map_err(snap_err)?;
-                spec.pgo = tail_bool(&mut r).map_err(snap_err)?;
-                Request::Submit { spec, req_id }
-            }
-            KIND_STATUS => Request::Status {
-                job: r.u64().map_err(snap_err)?,
-            },
-            KIND_WATCH => Request::Watch {
-                job: r.u64().map_err(snap_err)?,
-                from_seq: tail_u64(&mut r).map_err(snap_err)?,
-            },
-            KIND_RESULT => Request::Result {
-                job: r.u64().map_err(snap_err)?,
-            },
-            KIND_CANCEL => Request::Cancel {
-                job: r.u64().map_err(snap_err)?,
-            },
-            KIND_STATS => {
-                let _ = r.u8().map_err(snap_err)?;
-                Request::Stats
-            }
-            KIND_SHUTDOWN => Request::Shutdown {
-                drain: r.bool().map_err(snap_err)?,
-            },
-            KIND_REGISTER => Request::Register {
-                name: get_string(&mut r).map_err(snap_err)?,
-                workers: r.u32().map_err(snap_err)?,
-            },
-            KIND_BEACON => Request::Beacon {
-                daemon: r.u64().map_err(snap_err)?,
-            },
-            KIND_POLL_JOB => Request::PollJob {
-                daemon: r.u64().map_err(snap_err)?,
-            },
-            KIND_PUSH_RESULT => Request::PushResult {
-                daemon: r.u64().map_err(snap_err)?,
-                task: r.u64().map_err(snap_err)?,
-                epoch: r.u64().map_err(snap_err)?,
-                outcome: decode_outcome(&mut r).map_err(snap_err)?,
-            },
-            KIND_PUSH_DELTA => Request::PushDelta {
-                daemon: r.u64().map_err(snap_err)?,
-                frame: decode_delta_frame(&mut r).map_err(snap_err)?,
-            },
-            KIND_QUERY => Request::Query {
-                kind: QueryKind::from_code(r.u8().map_err(snap_err)?).map_err(snap_err)?,
-                bench: get_string(&mut r).map_err(snap_err)?,
-                profiler: get_opt_profiler(&mut r).map_err(snap_err)?,
-                n: r.u32().map_err(snap_err)?,
-            },
-            _ => return Err(TraceError::Malformed("unknown request kind")),
-        };
-        finish(&r)?;
-        Ok(req)
+        decode_payload(payload, |r| {
+            Ok(match kind {
+                KIND_SUBMIT => Request::Submit {
+                    spec: decode_spec(r)?,
+                    req_id: r.u64()?,
+                },
+                KIND_STATUS => Request::Status { job: r.u64()? },
+                KIND_WATCH => Request::Watch {
+                    job: r.u64()?,
+                    from_seq: r.u64()?,
+                },
+                KIND_RESULT => Request::Result { job: r.u64()? },
+                KIND_CANCEL => Request::Cancel { job: r.u64()? },
+                KIND_STATS => {
+                    let _ = r.u8()?;
+                    Request::Stats
+                }
+                KIND_SHUTDOWN => Request::Shutdown { drain: r.bool()? },
+                KIND_REGISTER => Request::Register { workers: r.u32()? },
+                KIND_BEACON => Request::Beacon { daemon: r.u64()? },
+                KIND_POLL_JOB => Request::PollJob { daemon: r.u64()? },
+                KIND_PUSH_RESULT => Request::PushResult {
+                    daemon: r.u64()?,
+                    task: r.u64()?,
+                    epoch: r.u64()?,
+                    outcome: decode_outcome(r)?,
+                },
+                KIND_PUSH_DELTA => Request::PushDelta {
+                    daemon: r.u64()?,
+                    frame: decode_delta_frame(r)?,
+                },
+                KIND_QUERY => Request::Query {
+                    kind: QueryKind::from_code(r.u8()?)?,
+                    bench: get_string(r)?,
+                    profiler: get_opt_profiler(r)?,
+                    n: r.u32()?,
+                },
+                _ => return Err(SnapError::Malformed("unknown request kind")),
+            })
+        })
     }
 }
 
@@ -1285,7 +1225,6 @@ impl Response {
                 snap::put_u64(&mut out, *task);
                 snap::put_u64(&mut out, *epoch);
                 encode_spec(&mut out, spec);
-                snap::put_bool(&mut out, spec.pgo);
                 KIND_R_ASSIGNMENT
             }
             Response::NoWork { draining } => {
@@ -1319,139 +1258,105 @@ impl Response {
     /// overlong payload, or any field outside its domain. Never panics, on
     /// any input.
     pub fn decode(kind: u16, payload: &[u8]) -> Result<Self, TraceError> {
-        let mut r = SnapReader::new(payload);
-        let resp = match kind {
-            KIND_R_SUBMITTED => Response::Submitted {
-                job: r.u64().map_err(snap_err)?,
-            },
-            KIND_R_STATUS => Response::Status {
-                job: r.u64().map_err(snap_err)?,
-                state: get_job_state(&mut r).map_err(snap_err)?,
-            },
-            KIND_R_PROGRESS => Response::Progress {
-                job: r.u64().map_err(snap_err)?,
-                state: get_job_state(&mut r).map_err(snap_err)?,
-                seq: tail_u64(&mut r).map_err(snap_err)?,
-                cycles: tail_u64(&mut r).map_err(snap_err)?,
-            },
-            KIND_R_RESULT => Response::ResultBody {
-                job: r.u64().map_err(snap_err)?,
-                body: get_string(&mut r).map_err(snap_err)?,
-            },
-            KIND_R_CANCELLED => Response::Cancelled {
-                job: r.u64().map_err(snap_err)?,
-                ok: r.bool().map_err(snap_err)?,
-            },
-            KIND_R_STATS => Response::Stats(ServerStats {
-                queued: r.u32().map_err(snap_err)?,
-                running: r.u32().map_err(snap_err)?,
-                done: r.u32().map_err(snap_err)?,
-                failed: r.u32().map_err(snap_err)?,
-                cancelled: r.u32().map_err(snap_err)?,
-                workers: r.u32().map_err(snap_err)?,
-                connections: r.u32().map_err(snap_err)?,
-                mean_queue_wait_ms: r.f64().map_err(snap_err)?,
-                worker_utilization: r.f64().map_err(snap_err)?,
-                uptime_ms: r.u64().map_err(snap_err)?,
-                reassigned: tail_u32(&mut r).map_err(snap_err)?,
-                shed: tail_u32(&mut r).map_err(snap_err)?,
-                daemons: tail_u32(&mut r).map_err(snap_err)?,
-                stale: tail_u32(&mut r).map_err(snap_err)?,
-                deltas: tail_u64(&mut r).map_err(snap_err)?,
-                streamed: tail_u32(&mut r).map_err(snap_err)?,
-            }),
-            KIND_R_SHUTDOWN => Response::ShuttingDown {
-                drain: r.bool().map_err(snap_err)?,
-            },
-            KIND_R_BUSY => Response::Busy {
-                active: r.u32().map_err(snap_err)?,
-                limit: r.u32().map_err(snap_err)?,
-            },
-            KIND_R_OVERLOADED => Response::Overloaded {
-                retry_after_ms: r.u32().map_err(snap_err)?,
-                queued: r.u32().map_err(snap_err)?,
-            },
-            KIND_R_ERROR => Response::Error {
-                code: ErrorCode::from_code(r.u8().map_err(snap_err)?)?,
-                message: get_string(&mut r).map_err(snap_err)?,
-            },
-            KIND_R_REGISTERED => Response::Registered {
-                daemon: r.u64().map_err(snap_err)?,
-                lease_ms: r.u64().map_err(snap_err)?,
-            },
-            KIND_R_BEACON_ACK => Response::BeaconAck {
-                tasks: r.u32().map_err(snap_err)?,
-            },
-            KIND_R_ASSIGNMENT => {
-                let task = r.u64().map_err(snap_err)?;
-                let epoch = r.u64().map_err(snap_err)?;
-                let mut spec = decode_spec(&mut r).map_err(snap_err)?;
-                spec.pgo = tail_bool(&mut r).map_err(snap_err)?;
-                Response::Assignment { task, epoch, spec }
-            }
-            KIND_R_NO_WORK => Response::NoWork {
-                draining: r.bool().map_err(snap_err)?,
-            },
-            KIND_R_RESULT_ACK => Response::ResultAck {
-                accepted: r.bool().map_err(snap_err)?,
-            },
-            KIND_R_QUERY_REPLY => {
-                let n = r.len().map_err(snap_err)?;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rows.push(decode_query_row(&mut r).map_err(snap_err)?);
+        decode_payload(payload, |r| {
+            Ok(match kind {
+                KIND_R_SUBMITTED => Response::Submitted { job: r.u64()? },
+                KIND_R_STATUS => Response::Status {
+                    job: r.u64()?,
+                    state: get_job_state(r)?,
+                },
+                KIND_R_PROGRESS => Response::Progress {
+                    job: r.u64()?,
+                    state: get_job_state(r)?,
+                    seq: r.u64()?,
+                    cycles: r.u64()?,
+                },
+                KIND_R_RESULT => Response::ResultBody {
+                    job: r.u64()?,
+                    body: get_string(r)?,
+                },
+                KIND_R_CANCELLED => Response::Cancelled {
+                    job: r.u64()?,
+                    ok: r.bool()?,
+                },
+                KIND_R_STATS => Response::Stats(ServerStats {
+                    queued: r.u32()?,
+                    running: r.u32()?,
+                    done: r.u32()?,
+                    failed: r.u32()?,
+                    cancelled: r.u32()?,
+                    workers: r.u32()?,
+                    connections: r.u32()?,
+                    mean_queue_wait_ms: r.f64()?,
+                    worker_utilization: r.f64()?,
+                    uptime_ms: r.u64()?,
+                    reassigned: r.u32()?,
+                    shed: r.u32()?,
+                    daemons: r.u32()?,
+                    stale: r.u32()?,
+                    deltas: r.u64()?,
+                    streamed: r.u32()?,
+                }),
+                KIND_R_SHUTDOWN => Response::ShuttingDown { drain: r.bool()? },
+                KIND_R_BUSY => Response::Busy {
+                    active: r.u32()?,
+                    limit: r.u32()?,
+                },
+                KIND_R_OVERLOADED => Response::Overloaded {
+                    retry_after_ms: r.u32()?,
+                    queued: r.u32()?,
+                },
+                KIND_R_ERROR => Response::Error {
+                    code: ErrorCode::from_code(r.u8()?)?,
+                    message: get_string(r)?,
+                },
+                KIND_R_REGISTERED => Response::Registered {
+                    daemon: r.u64()?,
+                    lease_ms: r.u64()?,
+                },
+                KIND_R_BEACON_ACK => Response::BeaconAck { tasks: r.u32()? },
+                KIND_R_ASSIGNMENT => Response::Assignment {
+                    task: r.u64()?,
+                    epoch: r.u64()?,
+                    spec: decode_spec(r)?,
+                },
+                KIND_R_NO_WORK => Response::NoWork {
+                    draining: r.bool()?,
+                },
+                KIND_R_RESULT_ACK => Response::ResultAck {
+                    accepted: r.bool()?,
+                },
+                KIND_R_QUERY_REPLY => {
+                    let n = r.len()?;
+                    let mut rows = Vec::with_capacity(n.min(1024));
+                    for _ in 0..n {
+                        rows.push(decode_query_row(r)?);
+                    }
+                    Response::QueryReply { rows }
                 }
-                Response::QueryReply { rows }
-            }
-            KIND_R_DELTA_ACK => Response::DeltaAck {
-                accepted: r.bool().map_err(snap_err)?,
-            },
-            _ => return Err(TraceError::Malformed("unknown response kind")),
-        };
-        finish(&r)?;
-        Ok(resp)
+                KIND_R_DELTA_ACK => Response::DeltaAck {
+                    accepted: r.bool()?,
+                },
+                _ => return Err(SnapError::Malformed("unknown response kind")),
+            })
+        })
     }
 }
 
-/// Reads a version-2 tail field: absent (a v1 peer's frame ends here)
-/// decodes as 0, present decodes normally. This is the whole back-compat
-/// story — v2 only ever appends fields.
-fn tail_u64(r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-    if r.is_empty() {
-        Ok(0)
-    } else {
-        r.u64()
-    }
-}
-
-/// [`tail_u64`] for u32 tail fields (the `Stats` payload's v2 counters).
-fn tail_u32(r: &mut SnapReader<'_>) -> Result<u32, SnapError> {
-    if r.is_empty() {
-        Ok(0)
-    } else {
-        r.u32()
-    }
-}
-
-/// [`tail_u64`] for bool tail fields (the v5 `pgo` flag): absent is false.
-fn tail_bool(r: &mut SnapReader<'_>) -> Result<bool, SnapError> {
-    if r.is_empty() {
-        Ok(false)
-    } else {
-        r.bool()
-    }
-}
-
-fn snap_err(e: SnapError) -> TraceError {
-    match e {
+/// Decodes one whole message payload with `fields`. Every field is
+/// required: a payload that ends mid-field, or has bytes left over, is
+/// [`TraceError::Malformed`].
+fn decode_payload<T>(
+    payload: &[u8],
+    fields: impl FnOnce(&mut SnapReader<'_>) -> Result<T, SnapError>,
+) -> Result<T, TraceError> {
+    let mut r = SnapReader::new(payload);
+    let msg = fields(&mut r).map_err(|e| match e {
         SnapError::UnexpectedEof => TraceError::Malformed("payload ends mid-field"),
         SnapError::Malformed(what) => TraceError::Malformed(what),
-    }
-}
-
-fn finish(r: &SnapReader<'_>) -> Result<(), TraceError> {
+    })?;
     if r.is_empty() {
-        Ok(())
+        Ok(msg)
     } else {
         Err(TraceError::Malformed("trailing bytes after message"))
     }
@@ -1493,7 +1398,8 @@ pub fn write_frame(w: &mut impl Write, kind: u16, payload: &[u8]) -> io::Result<
 /// # Errors
 ///
 /// * [`TraceError::BadMagic`] — the stream is not TIPW.
-/// * [`TraceError::UnsupportedVersion`] — TIPW from a future build.
+/// * [`TraceError::UnsupportedVersion`] — TIPW from a build with another
+///   [`VERSION`].
 /// * [`TraceError::BadLength`] — declared payload length 0 or over
 ///   [`MAX_PAYLOAD`]; the stream is still aligned after the header.
 /// * [`TraceError::Corrupt`] — CRC mismatch over header + payload.
@@ -1516,7 +1422,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u16, Vec<u8>)>, TraceErro
         return Err(TraceError::BadMagic(m));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(TraceError::UnsupportedVersion(version));
     }
     let kind = u16::from_le_bytes([header[6], header[7]]);

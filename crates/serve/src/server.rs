@@ -75,10 +75,12 @@ pub struct ServerConfig {
     pub max_frames_per_sec: u32,
     /// Run as a fleet coordinator: the engine starts with no local workers
     /// (`workers` is ignored); jobs are sharded across daemons that
-    /// `Register` over the wire, and `lease` governs *daemon* liveness (default
-    /// [`crate::fleet::DEFAULT_FLEET_LEASE`] rather than [`DEFAULT_LEASE`] — a
-    /// coordinator's daemons beacon from a dedicated thread, so the lease
-    /// only has to outlive network jitter).
+    /// `Register` over the wire, and `lease` governs *daemon* liveness.
+    /// Setting this leaves `lease` alone ([`ServerConfig::new`]'s
+    /// [`DEFAULT_LEASE`]); `tipd --coordinator` picks the shorter
+    /// [`crate::fleet::DEFAULT_FLEET_LEASE`] itself, since a daemon beacons
+    /// from a dedicated thread and its lease only has to outlive network
+    /// jitter.
     pub coordinator: bool,
 }
 
@@ -165,7 +167,6 @@ where
             },
             resume: config.resume,
             lease: config.lease,
-            live: None,
         },
         runner,
     );
@@ -376,16 +377,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 /// (shutdown acknowledged).
 fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
     let engine = &shared.engine;
-    let fleet_frame = match &req {
+    let fleet_frame = matches!(
+        req,
         Request::Register { .. }
-        | Request::Beacon { .. }
-        | Request::PollJob { .. }
-        | Request::PushResult { .. } => true,
-        // daemon 0 is a local observer: its flushes go straight into the
-        // aggregate on any server.
-        Request::PushDelta { daemon, .. } => *daemon != 0,
-        _ => false,
-    };
+            | Request::Beacon { .. }
+            | Request::PollJob { .. }
+            | Request::PushResult { .. }
+            | Request::PushDelta { .. }
+    );
     if fleet_frame && !engine.is_coordinator() {
         let refused = Response::Error {
             code: ErrorCode::BadRequest,
@@ -504,14 +503,9 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             // A fleet daemon's flushes are fenced: the daemon must still
             // hold the benchmark's assignment, so a resurrected daemon's
             // stale stream cannot pollute the fresh slot.
-            let resp = if daemon == 0 {
-                engine.live().ingest(&frame.into_event());
-                Response::DeltaAck { accepted: true }
-            } else {
-                match engine.accept_delta(daemon, &frame.into_event()) {
-                    Ok(accepted) => Response::DeltaAck { accepted },
-                    Err(_) => unknown_daemon(daemon),
-                }
+            let resp = match engine.accept_delta(daemon, &frame.into_event()) {
+                Ok(accepted) => Response::DeltaAck { accepted },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
@@ -709,7 +703,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::fleet::{run_agent, AgentConfig};
-    use crate::proto::{read_response, write_request, JobSpec};
+    use crate::proto::{read_response, write_request, DeltaFrame, JobSpec, RemoteOutcome};
     use std::sync::mpsc;
     use tip_workloads::SuiteScale;
 
@@ -720,35 +714,93 @@ mod tests {
         dir
     }
 
-    /// A daemon with local workers is no coordinator: fleet frames get a
-    /// typed `BadRequest`, and no daemon is ever counted.
+    /// A one-flush delta for `mcf`, which the server under test never runs.
+    fn mcf_delta() -> DeltaFrame {
+        DeltaFrame {
+            bench: "mcf".to_owned(),
+            attempt: 1,
+            seq: 1,
+            granularity: Granularity::Instruction,
+            num_symbols: 4,
+            per_profiler: vec![(ProfilerId::Tip, vec![(0, 840)])],
+            oracle: vec![(0, 840)],
+            stack: Vec::new(),
+            cycles: 1,
+        }
+    }
+
+    /// Sends `req` on `stream` and returns the error code it was refused
+    /// with (`None` if it was answered).
+    fn refusal(stream: &mut TcpStream, req: &Request) -> Option<ErrorCode> {
+        write_request(stream, req).expect("write");
+        match read_response(stream).expect("read") {
+            Some(Response::Error { code, .. }) => Some(code),
+            _ => None,
+        }
+    }
+
+    /// A daemon with local workers is no coordinator: fleet frames —
+    /// daemon 0's deltas included — get a typed `BadRequest`, no daemon is
+    /// ever counted, and nothing reaches the live aggregate.
     #[test]
     fn a_plain_daemon_refuses_fleet_frames() {
         let dir = tmp_dir("plain");
         let handle = serve(&ServerConfig::new(dir.clone())).expect("bind");
         let mut stream = TcpStream::connect(handle.addr()).expect("connect");
         for req in [
-            Request::Register {
-                name: "agent".to_owned(),
-                workers: 1,
-            },
+            Request::Register { workers: 1 },
             Request::Beacon { daemon: 1 },
             Request::PollJob { daemon: 1 },
+            Request::PushResult {
+                daemon: 1,
+                task: 1,
+                epoch: 1,
+                outcome: RemoteOutcome {
+                    ok: false,
+                    attempts: 1,
+                    body: String::new(),
+                    error_line: "injected".to_owned(),
+                    wall_ms: 0.0,
+                    worker: 0,
+                    cycles: 0,
+                    instructions: 0,
+                    ipc: 0.0,
+                },
+            },
+            Request::PushDelta {
+                daemon: 0,
+                frame: mcf_delta(),
+            },
         ] {
-            write_request(&mut stream, &req).expect("write");
-            let resp = read_response(&mut stream).expect("read");
-            assert!(
-                matches!(
-                    resp,
-                    Some(Response::Error {
-                        code: ErrorCode::BadRequest,
-                        ..
-                    })
-                ),
-                "{req:?} answered {resp:?}"
+            assert_eq!(
+                refusal(&mut stream, &req),
+                Some(ErrorCode::BadRequest),
+                "{req:?}"
             );
         }
         assert_eq!(handle.engine().stats().daemons, 0);
+        assert!(handle.engine().live().view().benches.is_empty());
+        drop(stream);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A coordinator fences every delta by its sender's registration:
+    /// daemon 0 is never registered, so its flush is refused and the live
+    /// aggregate stays empty.
+    #[test]
+    fn a_coordinator_refuses_unregistered_deltas() {
+        let dir = tmp_dir("fence");
+        let mut config = ServerConfig::new(dir.clone());
+        config.coordinator = true;
+        let handle = serve(&config).expect("bind");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        let req = Request::PushDelta {
+            daemon: 0,
+            frame: mcf_delta(),
+        };
+        assert_eq!(refusal(&mut stream, &req), Some(ErrorCode::UnknownDaemon));
+        assert!(handle.engine().live().view().benches.is_empty());
         drop(stream);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

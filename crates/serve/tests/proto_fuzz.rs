@@ -10,7 +10,7 @@ use tip_isa::Granularity;
 use tip_serve::proto::{
     read_frame, read_request, read_response, write_frame, write_request, write_response,
     DeltaFrame, ErrorCode, JobSpec, JobState, QueryKind, QueryRow, RemoteOutcome, Request,
-    Response, ServerStats, FRAME_HEADER_LEN, MAGIC, MAX_PAYLOAD, MIN_VERSION, VERSION,
+    Response, ServerStats, FRAME_HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use tip_trace::framing::crc32_pair;
 use tip_trace::TraceError;
@@ -90,10 +90,7 @@ fn every_request() -> Vec<Request> {
         Request::Stats,
         Request::Shutdown { drain: true },
         Request::Shutdown { drain: false },
-        Request::Register {
-            name: "agent@10.0.0.7:9000".to_owned(),
-            workers: 4,
-        },
+        Request::Register { workers: 4 },
         Request::Beacon { daemon: 3 },
         Request::PollJob { daemon: u64::MAX },
         Request::PushResult {
@@ -290,13 +287,20 @@ fn damaged_frames_classify_like_trace_streams() {
         Err(TraceError::BadMagic(_))
     ));
 
-    // Future version.
-    let mut bad = wire.clone();
-    bad[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-    assert!(matches!(
-        read_request(&mut Cursor::new(&bad)),
-        Err(TraceError::UnsupportedVersion(v)) if v == VERSION + 1
-    ));
+    // Any version but this build's, older or newer, even with a valid CRC.
+    for version in [1, VERSION - 1, VERSION + 1] {
+        let mut bad = wire.clone();
+        bad[4..6].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32_pair(&bad[..12], &bad[FRAME_HEADER_LEN..]);
+        bad[12..16].copy_from_slice(&crc.to_le_bytes());
+        assert!(
+            matches!(
+                read_request(&mut Cursor::new(&bad)),
+                Err(TraceError::UnsupportedVersion(v)) if v == version
+            ),
+            "version {version}"
+        );
+    }
 
     // Flipped payload byte: CRC catches it.
     let mut bad = wire.clone();
@@ -441,220 +445,69 @@ proptest! {
     }
 }
 
-/// A version-1 peer's frames still read: the frame layer accepts any
-/// version in `MIN_VERSION..=VERSION`, and v2 payload decoders default
-/// the appended tail fields when the payload ends early.
+/// Every payload field is required: a payload cut before its last field
+/// is refused as `Malformed`, never decoded with the field defaulted.
 #[test]
-fn v1_frames_and_payloads_decode_with_defaulted_tails() {
-    // Frame layer: patch a v2 frame down to version 1 (CRC recomputed).
-    let mut wire = Vec::new();
-    write_request(&mut wire, &Request::Stats).expect("encode");
-    wire[4..6].copy_from_slice(&MIN_VERSION.to_le_bytes());
-    let crc = crc32_pair(&wire[..12], &wire[FRAME_HEADER_LEN..]);
-    wire[12..16].copy_from_slice(&crc.to_le_bytes());
-    assert!(matches!(
-        read_request(&mut Cursor::new(&wire)),
-        Ok(Some(Request::Stats))
-    ));
-
-    // Below MIN_VERSION is still rejected.
-    let mut wire_v0 = wire.clone();
-    wire_v0[4..6].copy_from_slice(&0u16.to_le_bytes());
-    let crc = crc32_pair(&wire_v0[..12], &wire_v0[FRAME_HEADER_LEN..]);
-    wire_v0[12..16].copy_from_slice(&crc.to_le_bytes());
-    assert!(matches!(
-        read_request(&mut Cursor::new(&wire_v0)),
-        Err(TraceError::UnsupportedVersion(0))
-    ));
-
-    // Payload layer: a v1 `Watch` payload is just the job id — exactly a
-    // `Status` payload — and must decode with from_seq defaulted to 0.
-    let (watch_kind, _) = Request::Watch {
-        job: 42,
-        from_seq: 7,
-    }
-    .encode();
-    let (_, v1_payload) = Request::Status { job: 42 }.encode();
-    assert_eq!(
-        Request::decode(watch_kind, &v1_payload).expect("v1 watch decodes"),
-        Request::Watch {
-            job: 42,
-            from_seq: 0
-        }
-    );
-
-    // Same trick for `Progress` (a v1 payload has no seq, and pre-v4 none
-    // has cycles): its prefix is exactly a `Status` response payload.
-    let state = JobState::Running { worker: 3 };
-    let (progress_kind, _) = Response::Progress {
-        job: 5,
-        state,
-        seq: 9,
-        cycles: 77,
-    }
-    .encode();
-    let (_, v1_payload) = Response::Status { job: 5, state }.encode();
-    assert_eq!(
-        Response::decode(progress_kind, &v1_payload).expect("v1 progress decodes"),
-        Response::Progress {
-            job: 5,
-            state,
-            seq: 0,
-            cycles: 0
-        }
-    );
-}
-
-/// A version-2 peer (pre-fleet) still interoperates with a v4 reader: v2
-/// frames pass the frame layer, and a v2 `Stats` payload — which ends
-/// before the appended `daemons`/`stale` (v3) and `deltas`/`streamed`
-/// (v4) counters — decodes with those tails defaulted to 0.
-#[test]
-fn v2_frames_and_stats_payloads_decode_with_defaulted_tails() {
-    // Frame layer: patch a v4 frame down to version 2 (CRC recomputed).
-    let mut wire = Vec::new();
-    write_request(&mut wire, &Request::Stats).expect("encode");
-    wire[4..6].copy_from_slice(&2u16.to_le_bytes());
-    let crc = crc32_pair(&wire[..12], &wire[FRAME_HEADER_LEN..]);
-    wire[12..16].copy_from_slice(&crc.to_le_bytes());
-    assert!(matches!(
-        read_request(&mut Cursor::new(&wire)),
-        Ok(Some(Request::Stats))
-    ));
-
-    // Payload layer: a v2 Stats payload is the v4 payload minus the v3
-    // tails (two u32s) and v4 tails (one u64, one u32) — all fixed-width
-    // little-endian encoding.
-    let full = ServerStats {
-        queued: 1,
-        running: 2,
-        done: 3,
-        failed: 4,
-        cancelled: 5,
-        workers: 6,
-        connections: 7,
-        mean_queue_wait_ms: 12.5,
-        worker_utilization: 0.75,
-        uptime_ms: 123_456,
-        reassigned: 8,
-        shed: 9,
-        daemons: 11,
-        stale: 13,
-        deltas: 17,
+fn payloads_cut_before_their_last_field_are_malformed() {
+    let stats = ServerStats {
         streamed: 19,
+        ..ServerStats::default()
     };
-    let (stats_kind, v4_payload) = Response::Stats(full).encode();
-    let v2_payload = &v4_payload[..v4_payload.len() - 20];
-    let decoded = Response::decode(stats_kind, v2_payload).expect("v2 stats decodes");
-    assert_eq!(
-        decoded,
-        Response::Stats(ServerStats {
-            daemons: 0,
-            stale: 0,
-            deltas: 0,
-            streamed: 0,
-            ..full
-        })
-    );
-}
-
-/// A version-3 peer (fleet, pre-streaming) interoperates with a v4
-/// reader: its `Stats` payload keeps the v3 `daemons`/`stale` tails but
-/// ends before `deltas`/`streamed`, and its `Progress` payload ends
-/// before `cycles` — all default to 0, nothing shifts.
-#[test]
-fn v3_payloads_decode_with_defaulted_v4_tails() {
-    let full = ServerStats {
-        queued: 1,
-        running: 2,
-        done: 3,
-        failed: 4,
-        cancelled: 5,
-        workers: 6,
-        connections: 7,
-        mean_queue_wait_ms: 12.5,
-        worker_utilization: 0.75,
-        uptime_ms: 123_456,
-        reassigned: 8,
-        shed: 9,
-        daemons: 11,
-        stale: 13,
-        deltas: 17,
-        streamed: 19,
+    let cut = |(kind, payload): (u16, Vec<u8>), field_len: usize| {
+        (kind, payload[..payload.len() - field_len].to_vec())
     };
-    let (stats_kind, v4_payload) = Response::Stats(full).encode();
-    let v3_payload = &v4_payload[..v4_payload.len() - 12];
-    assert_eq!(
-        Response::decode(stats_kind, v3_payload).expect("v3 stats decodes"),
-        Response::Stats(ServerStats {
-            deltas: 0,
-            streamed: 0,
-            ..full
-        })
-    );
-
-    let state = JobState::Running { worker: 3 };
-    let (progress_kind, v4_payload) = Response::Progress {
-        job: 5,
-        state,
-        seq: 9,
-        cycles: 1_000_000,
+    let requests = [
+        // `Watch` without `from_seq`.
+        cut(
+            Request::Watch {
+                job: 42,
+                from_seq: 7,
+            }
+            .encode(),
+            8,
+        ),
+        // `Submit` without `req_id`.
+        cut(
+            Request::Submit {
+                spec: spec(),
+                req_id: 7,
+            }
+            .encode(),
+            8,
+        ),
+    ];
+    for (kind, payload) in requests {
+        assert!(
+            matches!(
+                Request::decode(kind, &payload),
+                Err(TraceError::Malformed(_))
+            ),
+            "request kind {kind}"
+        );
     }
-    .encode();
-    let v3_payload = &v4_payload[..v4_payload.len() - 8];
-    assert_eq!(
-        Response::decode(progress_kind, v3_payload).expect("v3 progress decodes"),
-        Response::Progress {
-            job: 5,
-            state,
-            seq: 9,
-            cycles: 0
-        }
-    );
-}
-
-/// A version-4 peer (streaming, pre-pgo) interoperates with a v5 reader:
-/// its `Submit` payload ends after `req_id` and its `Assignment` payload
-/// ends after the spec — both decode with the appended `pgo` flag
-/// defaulted to `false`, and a v5 frame carrying `pgo: true` round-trips.
-#[test]
-fn v4_submit_and_assignment_payloads_decode_with_pgo_defaulted() {
-    // spec() sets pgo: true; chopping the one-byte tail must yield the
-    // same spec with pgo back to false.
-    let plain = JobSpec {
-        pgo: false,
-        ..spec()
-    };
-
-    let (submit_kind, v5_payload) = Request::Submit {
-        spec: spec(),
-        req_id: 7,
+    let responses = [
+        // `Stats` without `streamed`.
+        cut(Response::Stats(stats).encode(), 4),
+        // `Assignment` without the spec's `pgo` byte.
+        cut(
+            Response::Assignment {
+                task: 17,
+                epoch: 4,
+                spec: spec(),
+            }
+            .encode(),
+            1,
+        ),
+    ];
+    for (kind, payload) in responses {
+        assert!(
+            matches!(
+                Response::decode(kind, &payload),
+                Err(TraceError::Malformed(_))
+            ),
+            "response kind {kind}"
+        );
     }
-    .encode();
-    let v4_payload = &v5_payload[..v5_payload.len() - 1];
-    assert_eq!(
-        Request::decode(submit_kind, v4_payload).expect("v4 submit decodes"),
-        Request::Submit {
-            spec: plain.clone(),
-            req_id: 7,
-        }
-    );
-
-    let (assign_kind, v5_payload) = Response::Assignment {
-        task: 17,
-        epoch: 4,
-        spec: spec(),
-    }
-    .encode();
-    let v4_payload = &v5_payload[..v5_payload.len() - 1];
-    assert_eq!(
-        Response::decode(assign_kind, v4_payload).expect("v4 assignment decodes"),
-        Response::Assignment {
-            task: 17,
-            epoch: 4,
-            spec: plain,
-        }
-    );
 }
 
 /// The v4 delta/query frames round-trip their edge values exactly —

@@ -333,7 +333,6 @@ fn worker_panic_mid_job_is_reassigned() {
             workers: 2,
             resume: false,
             lease: Duration::from_millis(100),
-            live: None,
         },
         grenade,
     );
@@ -398,7 +397,6 @@ fn lease_expiry_after_hang_discards_the_stale_result() {
             workers: 2,
             resume: false,
             lease: Duration::from_millis(100),
-            live: None,
         },
         hang,
     );

@@ -454,7 +454,6 @@ fn cancel_reaches_queued_jobs_only() {
             workers: 1,
             resume: false,
             lease: Duration::from_secs(300),
-            live: None,
         },
         slow,
     );
